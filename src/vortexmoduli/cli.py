@@ -34,11 +34,15 @@ def _jsonable(value):
 
 
 def _emit(payload: dict, as_text: bool) -> None:
+    """Print the payload; a nan or infinity raises ValueError before any
+    output, since it has no strict-JSON form."""
     if as_text:
-        for key, value in payload.items():
-            print("%s: %s" % (key, json.dumps(_jsonable(value), sort_keys=True)))
+        text = "\n".join("%s: %s" % (key, json.dumps(_jsonable(value), sort_keys=True,
+                                                     allow_nan=False))
+                         for key, value in payload.items())
     else:
-        print(json.dumps(_jsonable(payload), sort_keys=True))
+        text = json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False)
+    print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +279,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.func(args)
+        if payload is not None:
+            _emit(payload, args.text)
     except taubes_solver.NonConvergenceError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
@@ -284,8 +290,6 @@ def main(argv=None) -> int:
             detail["critical_tau"] = exc.critical_tau
         print(json.dumps(detail), file=sys.stderr)
         return 2
-    if payload is not None:
-        _emit(payload, args.text)
     if args.command == "verify" and not payload["passed"]:
         return 1
     return 0

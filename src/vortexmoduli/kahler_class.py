@@ -16,7 +16,7 @@ from math import comb, factorial, pi
 from typing import Optional, Union
 
 from .moduli_numerics import ParameterError, PhysicalParams
-from .symring import RingParams, eta, integrate, multiply, sigma
+from .symring import RingParams, eta, integrate, multiply, sigma, unit
 
 __all__ = [
     "KahlerClass2",
@@ -152,12 +152,21 @@ def symplectic_volume(cls: KahlerClass2, d: int, g: int) -> Scalar:
 
     Both generators are even, so the binomial expansion applies; each mixed
     integral comes out of the exact ring model, never from a closed form.
+    The powers eta^(d-k) and sigma^k are built once each, by one multiply
+    per step in k.
     """
     params = RingParams(d, g)
     e, s = eta(params), sigma(params)
+    k_max = min(d, g)
+    eta_powers = [e ** (d - k_max)]  # eta^(d - k) is eta_powers[k_max - k]
+    for _ in range(k_max):
+        eta_powers.append(multiply(eta_powers[-1], e))
+    sigma_power = unit(params)
     total = Fraction(0) if cls.exact else 0.0
-    for k in range(0, min(d, g) + 1):
-        weight = integrate(multiply(e ** (d - k), s ** k))
+    for k in range(0, k_max + 1):
+        if k:
+            sigma_power = multiply(sigma_power, s)
+        weight = integrate(multiply(eta_powers[k_max - k], sigma_power))
         if not weight:
             continue
         term = comb(d, k) * weight * cls.c_eta ** (d - k) * cls.c_sigma ** k

@@ -9,10 +9,11 @@ stability data (coupling, tau, area) uses floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, pi
+from math import comb, isfinite, pi
 
 __all__ = [
     "ParameterError",
+    "require_finite",
     "EmbeddingParams",
     "PhysicalParams",
     "GrassmannData",
@@ -31,6 +32,13 @@ CRITICAL_TAU_RTOL = 1e-12
 
 class ParameterError(ValueError):
     """Raised when parameters leave the range where a formula is asserted."""
+
+
+def require_finite(name: str, value: float) -> float:
+    """Return ``value``; raise ParameterError when it is nan or infinite."""
+    if not isfinite(value):
+        raise ParameterError("%s must be finite, got %r" % (name, value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,8 @@ class PhysicalParams:
     vol: float
 
     def __post_init__(self):
+        for name in ("e2", "tau", "vol"):
+            require_finite(name, getattr(self, name))
         if self.e2 <= 0:
             raise ParameterError("e2 must be positive")
         if self.vol <= 0:

@@ -21,6 +21,15 @@ quotient is the set of monomials eta^h * xi_S with h + |S| <= d.  In top
 degree 2d only eta^d survives, which is the fundamental class; integration
 just reads off its coefficient.
 
+The reduction is recursive.  A monomial with a complete pair is rewritten
+through the relation instance whose sigma-complete term is the monomial
+itself; the instance's coefficients are all +/-1, and each of its other
+terms has fewer pairs and a higher eta-power.  Each rewrite lowers the pair
+count, so the recursion ends, and the normal form of a monomial is a table
+of integer coefficients.  Tables are memoized for the duration of one
+normalization, so the monomials that many instances share are reduced once
+per call; nothing is cached across calls.
+
 All coefficients are exact rationals; there is no floating point in this
 module.  Values are immutable after construction and every operation is a
 pure function.
@@ -114,6 +123,16 @@ def _mono_mul(m1: Monomial, m2: Monomial):
     return sign, Monomial(m1.eta_power + m2.eta_power, xi_all)
 
 
+def _accumulate(out: dict, key, c) -> None:
+    """Add c to out[key], dropping the entry when the sum is zero."""
+    if key in out:
+        c += out[key]
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
 def _raw_mul_terms(t1: dict, t2: dict) -> dict:
     """Bilinear product of term maps, no relation reduction."""
     out: dict[Monomial, Fraction] = {}
@@ -123,11 +142,7 @@ def _raw_mul_terms(t1: dict, t2: dict) -> dict:
             if prod is None:
                 continue
             sign, m = prod
-            c = out.get(m, Fraction(0)) + sign * c1 * c2
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
+            _accumulate(out, m, sign * c1 * c2)
     return out
 
 
@@ -146,45 +161,75 @@ def _split_pairs(xi_indices: tuple[int, ...], g: int):
 def _normalize_terms(params: RingParams, terms: Mapping[Monomial, Fraction]) -> dict:
     """Reduce a term map to normal form.
 
-    Worklist reduction: monomials of cohomological degree above 2d drop out;
+    A monomial with h + |S| <= d is already normal and is added as it is.
+    Otherwise, monomials of cohomological degree above 2d drop out, and
     monomials with h + |A| + |B| + |P| > d are annihilated outright by a
-    pair-free relation instance; monomials still carrying a complete pair are
-    rewritten through the instance (r = h, I1 = A, I2 = B, J = P), which
-    trades one pair for a higher eta-power.  Terminates because every rewrite
-    strictly decreases the pair count.
+    pair-free relation instance.  Every other monomial carries a complete
+    pair and is replaced by its integer normal form from ``reduce``, scaled
+    by its coefficient; so a caller's Fraction meets the table once per
+    input monomial.
+
+    ``reduce`` rewrites eta^h * xi_S through the relation instance
+    (r = h, I1 = A, I2 = B, J = P), whose terms all have coefficient +/-1:
+    the instance's sigma-complete term is +/- the monomial itself, and every
+    other term has fewer pairs and a higher eta-power, in the same degree and
+    with the same h + |A| + |B| + |pairs|, so no further term drops out.  The
+    recursion terminates because each rewrite strictly lowers the pair
+    count, and every table it returns has integer coefficients.  Tables are
+    memoized by (eta_power, xi_indices) in a dict that lives for this call
+    only, so monomials shared between the instances are reduced once.
     """
     d, g = params.d, params.g
+    memo: dict[tuple, dict] = {}
+
+    def reduce(key: tuple) -> dict:
+        table = memo.get(key)
+        if table is not None:
+            return table
+        h, s = key
+        pairs = _split_pairs(s, g)[0]
+        free = tuple(i for i in s if (i if i <= g else i - g) not in pairs)
+        # The relation instance eta^h * xi_free * prod_{j in P} (eta - sigma_j);
+        # each subset of P gives a distinct monomial.
+        rel = {(h, free): 1}
+        for j in pairs:
+            step = {}
+            for (e, t), c in rel.items():
+                step[(e + 1, t)] = c
+                sign, merged = _merge_xi(t, (j, j + g))
+                step[(e, merged)] = -sign * c
+            rel = step
+        rho = rel.pop(key)
+        table = {}
+        for k, c in rel.items():
+            c = -rho * c  # 1/rho == rho
+            if k[0] + len(k[1]) <= d:
+                _accumulate(table, k, c)
+            else:
+                for kk, v in reduce(k).items():
+                    _accumulate(table, kk, c * v)
+        memo[key] = table
+        return table
+
     result: dict[Monomial, Fraction] = {}
-    work = [(m, Fraction(c)) for m, c in terms.items()]
-    while work:
-        m, c = work.pop()
+    reduced: dict[tuple, Fraction] = {}
+    for m, c in terms.items():
+        c = Fraction(c)
         if not c:
             continue
-        if m.degree > 2 * d:
+        h, s = m.eta_power, m.xi_indices
+        if h + len(s) <= d:
+            _accumulate(result, m, c)
             continue
-        pairs, lows, highs = _split_pairs(m.xi_indices, g)
-        if m.eta_power + len(lows) + len(highs) + len(pairs) > d:
+        if 2 * h + len(s) > 2 * d:
             continue
-        if m.eta_power + len(m.xi_indices) <= d:
-            acc = result.get(m, Fraction(0)) + c
-            if acc:
-                result[m] = acc
-            else:
-                result.pop(m, None)
+        pairs, lows, highs = _split_pairs(s, g)
+        if h + len(lows) + len(highs) + len(pairs) > d:
             continue
-        # Build the relation instance whose sigma-complete term is +/- m.
-        free = tuple(sorted(lows + tuple(b + g for b in highs)))
-        rel = {Monomial(m.eta_power, free): Fraction(1)}
-        for j in pairs:
-            binom = {
-                Monomial(1, ()): Fraction(1),
-                Monomial(0, (j, j + g)): Fraction(-1),
-            }
-            rel = _raw_mul_terms(rel, binom)
-        rho = rel.pop(m)
-        scale = -c / rho
-        for mm, cc in rel.items():
-            work.append((mm, scale * cc))
+        for k, v in reduce((h, s)).items():
+            _accumulate(reduced, k, c * v)
+    for (h, s), c in reduced.items():
+        _accumulate(result, Monomial(h, s), c)
     return result
 
 
@@ -207,11 +252,7 @@ class CohomologyClass:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            acc = out.get(m, Fraction(0)) + c
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
+            _accumulate(out, m, c)
         return CohomologyClass(self.params, out)
 
     def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":

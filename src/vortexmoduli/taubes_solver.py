@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .moduli_numerics import ParameterError
+from .moduli_numerics import ParameterError, require_finite
 
 __all__ = [
     "TorusSpec",
@@ -89,6 +89,8 @@ class TorusSpec:
     N2: int
 
     def __post_init__(self):
+        require_finite("L1", self.L1)
+        require_finite("L2", self.L2)
         if self.L1 <= 0 or self.L2 <= 0:
             raise ParameterError("periods must be positive")
         if self.N1 < 32 or self.N2 < 32:
@@ -119,6 +121,13 @@ class VortexProblem:
     def __post_init__(self):
         zs = tuple((float(x), float(y), int(m)) for (x, y, m) in self.zeros)
         object.__setattr__(self, "zeros", zs)
+        for (x, y, _) in zs:
+            require_finite("zero coordinate", x)
+            require_finite("zero coordinate", y)
+        for name in ("e2", "tau", "tol"):
+            require_finite(name, getattr(self, name))
+        if self.reg_width is not None:
+            require_finite("reg_width", self.reg_width)
         if self.e2 <= 0 or self.tau <= 0:
             raise ParameterError("e2 and tau must be positive")
         if any(m < 1 for (_, _, m) in zs):
@@ -322,6 +331,7 @@ def parse_config(text: str) -> VortexProblem:
 
     Recognized keys: L1, L2, N1, N2, e2, tau, tol, reg_width, max_iter, and
     repeatable ``zero = x y [multiplicity]`` lines.  '#' starts a comment.
+    A nan or infinite float value raises ParameterError.
     """
     values = {}
     zeros = []
@@ -339,21 +349,26 @@ def parse_config(text: str) -> VortexProblem:
                 parts.append("1")
             if len(parts) != 3:
                 raise ParameterError("line %d: zero takes x y [m]" % lineno)
-            zeros.append((float(parts[0]), float(parts[1]), int(parts[2])))
+            where = "line %d: zero coordinate" % lineno
+            zeros.append((require_finite(where, float(parts[0])),
+                          require_finite(where, float(parts[1])), int(parts[2])))
         else:
             values[key] = val
     missing = {"L1", "L2", "N1", "N2", "e2", "tau"} - set(values)
     if missing:
         raise ParameterError("missing keys: %s" % ", ".join(sorted(missing)))
-    torus = TorusSpec(float(values["L1"]), float(values["L2"]),
-                      int(values["N1"]), int(values["N2"]))
+
+    def number(key: str) -> float:
+        return require_finite(key, float(values[key]))
+
+    torus = TorusSpec(number("L1"), number("L2"), int(values["N1"]), int(values["N2"]))
     return VortexProblem(
         torus=torus,
         zeros=tuple(zeros),
-        e2=float(values["e2"]),
-        tau=float(values["tau"]),
-        reg_width=float(values["reg_width"]) if "reg_width" in values else None,
-        tol=float(values.get("tol", "1e-10")),
+        e2=number("e2"),
+        tau=number("tau"),
+        reg_width=number("reg_width") if "reg_width" in values else None,
+        tol=require_finite("tol", float(values.get("tol", "1e-10"))),
         max_iter=int(values.get("max_iter", "50")),
     )
 

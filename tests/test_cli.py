@@ -152,3 +152,41 @@ def test_vortex_config_dir_env(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "vortex", "--config", "prob.cfg")
     assert code == 0
     assert json.loads(out)["iterations"] >= 1
+
+
+def _vortex_config(tmp_path, **overrides):
+    side = sqrt(4 * pi * 2)
+    values = {"L1": repr(side), "L2": repr(side), "N1": "64", "N2": "64",
+              "e2": "1.0", "tau": "1.0"}
+    values.update(overrides)
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text("".join("%s = %s\n" % kv for kv in values.items())
+                   + "zero = %r %r 1\n" % (side / 2, side / 2))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("argv", [
+    ("stability", "--e2", "nan", "--tau", "1", "--vol", "30", "--d", "2"),
+    ("kahler", "--d", "3", "--g", "2", "--elldelta", "7",
+     "--e2", "1.0", "--tau", "1.0", "--vol", "inf"),
+    ("vortex", {"e2": "nan"}),
+    ("vortex", {"tau": "inf"}),
+    ("vortex", {"tol": "nan"}),
+], ids=["stability-e2-nan", "kahler-vol-inf", "vortex-e2-nan", "vortex-tau-inf",
+        "vortex-tol-nan"])
+def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
+    if argv[0] == "vortex":
+        argv = ("vortex", "--config", _vortex_config(tmp_path, **argv[1]))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in json.loads(err)["error"]
+
+
+def test_non_finite_result_is_not_printed(capsys):
+    # finite inputs whose margin overflows to inf: no strict-JSON form
+    code, out, err = run_cli(capsys, "stability", "--e2", "1e300", "--tau", "1e300",
+                             "--vol", "1", "--d", "1")
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import pi
+from math import comb, factorial, pi
 
 import pytest
 
@@ -143,6 +143,15 @@ def test_symplectic_volume_homogeneous():
     for (d, g) in [(2, 1), (3, 2), (4, 3)]:
         assert symplectic_volume(scaled, d, g) == \
             5 ** d * symplectic_volume(base, d, g)
+
+
+def test_symplectic_volume_beyond_oracle_reach():
+    # Macdonald: int eta^(d-k) sigma^k = g!/(g-k)!, so the volume has a closed form
+    d, g = 14, 8
+    cls = KahlerClass2(Fraction(3, 2), Fraction(-5, 7))
+    want = sum(comb(d, k) * Fraction(factorial(g), factorial(g - k))
+               * cls.c_eta ** (d - k) * cls.c_sigma ** k for k in range(g + 1))
+    assert symplectic_volume(cls, d, g) == want / factorial(d)
 
 
 def test_symplectic_volume_float_path():

@@ -105,3 +105,8 @@ def test_physical_params_validation():
         PhysicalParams(0.0, 1.0, 1.0)
     with pytest.raises(ParameterError):
         PhysicalParams(1.0, 1.0, -2.0)
+    for field in ("e2", "tau", "vol"):
+        for bad in (float("nan"), float("inf")):
+            values = {"e2": 1.0, "tau": 1.0, "vol": 1.0, field: bad}
+            with pytest.raises(ParameterError, match=field):
+                PhysicalParams(**values)

@@ -1,13 +1,18 @@
 import itertools
 from fractions import Fraction
+from math import factorial
+from typing import Mapping
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vortexmoduli.symring import (
     CohomologyClass,
     Monomial,
     RingParams,
+    _normalize_terms,
+    _raw_mul_terms,
+    _split_pairs,
     eta,
     integrate,
     multiply,
@@ -194,6 +199,21 @@ def test_all_relation_instances_vanish(d, g):
         assert cls.is_zero(), (d, g, r, i1, i2, jj)
 
 
+# Macdonald's presentation of the cohomology ring of Sym^d(Sigma) gives
+# int eta^(d-k) sigma^k = g!/(g-k)! (I. G. Macdonald, Symmetric products of an
+# algebraic curve, Topology 1, 1962); these sizes are beyond the tensor
+# oracle's reach.
+@pytest.mark.parametrize("d, g", [(7, 10), (10, 7), (13, 5), (14, 8), (16, 3), (16, 8)])
+def test_mixed_integrals_macdonald(d, g):
+    p = RingParams(d, g)
+    s, sigma_power = sigma(p), unit(p)
+    for k in range(0, min(d, g) + 1):
+        if k:
+            sigma_power = multiply(sigma_power, s)
+        val = integrate(multiply(eta(p) ** (d - k), sigma_power))
+        assert val == factorial(g) // factorial(g - k), (d, g, k)
+
+
 def test_normal_form_basis_shape():
     # surviving monomials satisfy eta_power + #xi <= d
     p = RingParams(3, 2)
@@ -266,6 +286,91 @@ def test_normal_form_idempotent(data):
 def test_integrate_linear(data):
     params, cls = data
     assert integrate(cls.scale(3) - cls) == 2 * integrate(cls)
+
+
+def _worklist_normalize_terms(params: RingParams, terms: Mapping[Monomial, Fraction]) -> dict:
+    """Reference: the worklist reduction that the memoized one replaced.
+
+    Worklist reduction: monomials of cohomological degree above 2d drop out;
+    monomials with h + |A| + |B| + |P| > d are annihilated outright by a
+    pair-free relation instance; monomials still carrying a complete pair are
+    rewritten through the instance (r = h, I1 = A, I2 = B, J = P), which
+    trades one pair for a higher eta-power.  Terminates because every rewrite
+    strictly decreases the pair count.
+    """
+    d, g = params.d, params.g
+    result: dict[Monomial, Fraction] = {}
+    work = [(m, Fraction(c)) for m, c in terms.items()]
+    while work:
+        m, c = work.pop()
+        if not c:
+            continue
+        if m.degree > 2 * d:
+            continue
+        pairs, lows, highs = _split_pairs(m.xi_indices, g)
+        if m.eta_power + len(lows) + len(highs) + len(pairs) > d:
+            continue
+        if m.eta_power + len(m.xi_indices) <= d:
+            acc = result.get(m, Fraction(0)) + c
+            if acc:
+                result[m] = acc
+            else:
+                result.pop(m, None)
+            continue
+        # Build the relation instance whose sigma-complete term is +/- m.
+        free = tuple(sorted(lows + tuple(b + g for b in highs)))
+        rel = {Monomial(m.eta_power, free): Fraction(1)}
+        for j in pairs:
+            binom = {
+                Monomial(1, ()): Fraction(1),
+                Monomial(0, (j, j + g)): Fraction(-1),
+            }
+            rel = _raw_mul_terms(rel, binom)
+        rho = rel.pop(m)
+        scale = -c / rho
+        for mm, cc in rel.items():
+            work.append((mm, scale * cc))
+    return result
+
+
+_fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@st.composite
+def _term_maps(draw):
+    """A term map at d <= 5, g <= 3 holding, besides random monomials, one
+    with a complete xi-pair and a lone xi factor, one lone xi factor, one of
+    degree above 2d, and a non-integer coefficient."""
+    params = RingParams(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+    d, g = params.d, params.g
+    indices = st.integers(1, 2 * g)
+
+    def xi_set(*forced):
+        return tuple(sorted({draw(indices) for _ in range(draw(st.integers(0, 2 * g)))}
+                            | set(forced)))
+
+    monos = [Monomial(draw(st.integers(0, d + 1)), xi_set())
+             for _ in range(draw(st.integers(0, 6)))]
+    j, lone = draw(st.integers(1, g)), draw(indices)
+    monos.append(Monomial(draw(st.integers(0, d)), xi_set(j, j + g, lone)))
+    monos.append(Monomial(draw(st.integers(0, d)), (lone,)))
+    monos.append(Monomial(d + 1, xi_set()))
+    terms = {m: draw(_fractions_st) for m in monos}
+    terms[monos[0]] = Fraction(2 * draw(st.integers(-4, 4)) + 1, 2 * draw(st.integers(1, 3)))
+    return params, terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(_term_maps())
+@example((RingParams(3, 2), {  # xi_2 sits between the pair (1, 3): a Koszul sign
+    Monomial(1, (1, 2, 3)): Fraction(2, 3), Monomial(0, (1, 3)): Fraction(-1, 2),
+    Monomial(4, ()): Fraction(1), Monomial(2, (2,)): Fraction(5)}))
+def test_normal_form_matches_worklist_reference(data):
+    params, terms = data
+    got = _normalize_terms(params, terms)
+    want = _worklist_normalize_terms(params, terms)
+    assert got == want
+    assert all(type(c) is Fraction for c in got.values())
 
 
 def test_serialization_round_trip():

@@ -130,12 +130,39 @@ def test_problem_validation():
         TorusSpec(0.0, 6.0, 64, 64)
     with pytest.raises(ParameterError):
         TorusSpec(6.0, 6.0, 16, 64)
+    with pytest.raises(ParameterError, match="L1"):
+        TorusSpec(float("inf"), 6.0, 64, 64)
+    with pytest.raises(ParameterError, match="L2"):
+        TorusSpec(6.0, float("nan"), 64, 64)
     with pytest.raises(ParameterError):
         VortexProblem(torus, ((1.0, 1.0, 0),), e2=1.0, tau=1.0)
     with pytest.raises(ParameterError):
         VortexProblem(torus, (), e2=-1.0, tau=1.0)
     with pytest.raises(ParameterError):
         VortexProblem(torus, (), e2=1.0, tau=1.0, reg_width=0.05)
+
+
+@pytest.mark.parametrize("field", ["e2", "tau", "tol", "reg_width", "zero"])
+def test_problem_rejects_non_finite(field):
+    torus = TorusSpec(6.0, 6.0, 64, 64)
+    kw = {"e2": 1.0, "tau": 1.0}
+    zeros = ((1.0, 1.0, 1),)
+    if field == "zero":
+        zeros = ((1.0, float("nan"), 1),)
+    else:
+        kw[field] = float("nan") if field != "tau" else float("inf")
+    with pytest.raises(ParameterError, match="finite"):
+        VortexProblem(torus, zeros, **kw)
+
+
+def test_parse_config_rejects_non_finite():
+    base = "L1 = 6\nL2 = 6\nN1 = 64\nN2 = 64\ne2 = 1\ntau = 1\n"
+    with pytest.raises(ParameterError, match="line 7"):
+        parse_config(base + "zero = nan 1 1\n")
+    for line in ("tol = nan", "reg_width = inf", "L1 = inf"):
+        key = line.split()[0]
+        with pytest.raises(ParameterError, match=key):
+            parse_config(base + line + "\n")
 
 
 def test_parse_config_and_defaults():
