@@ -136,7 +136,7 @@ def cmd_genus0(args) -> dict:
             "d": args.d,
             "delta": delta,
             "curve_degree": degree,
-            "coordinate_t_degrees": [m.degree if m else None for m in coords],
+            "coordinate_t_degrees": [genus0.t_degree(m) for m in coords],
         }
     if not args.s:
         raise ParameterError("give either --s or --family")

@@ -7,11 +7,13 @@ Twisting the dual inclusion by O(delta) embeds the section space of the
 twisted dual as a subspace of n copies of the degree-delta forms; its
 Plucker coordinates are the maximal minors of any basis matrix.  The inverse
 direction recovers the section matrix from the subspace (componentwise gcds
-for rank one), and symbolic sweeps in a parameter t measure the degrees of
-the two standard curves inside the symmetric power.
+for rank one).  Sweeps measure the degrees of the two standard curves inside
+the symmetric power: each curve is a map P^1 -> P^N whose coordinates are
+binary forms in a parameter (t:s), and its degree is their common degree
+once their common factor (the base locus) is divided out.
 
-Everything here is pure and exact: Fractions for numbers, coefficient
-tuples for forms, no floating point.
+Everything here is pure and exact: Fractions for numbers, one binary form
+type for every polynomial, one minor routine, no floating point.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "reconstruct",
     "curve_degree",
     "plucker_sweep",
+    "t_degree",
     "smallest_working_delta",
     "divisor_form",
 ]
@@ -68,8 +71,8 @@ class BinaryForm:
             raise ParameterError("form degree must be >= 0")
         if len(self.coefficients) != self.degree + 1:
             raise ParameterError("need degree+1 coefficients")
-        object.__setattr__(self, "coefficients",
-                           tuple(Fraction(c) for c in self.coefficients))
+        object.__setattr__(self, "coefficients", tuple(
+            c if isinstance(c, Fraction) else Fraction(c) for c in self.coefficients))
 
     @staticmethod
     def monomial(degree: int, y_power: int, coeff=1) -> "BinaryForm":
@@ -87,6 +90,8 @@ class BinaryForm:
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         if self.degree != other.degree:
             raise ParameterError("cannot add forms of different degree")
+        if not other:
+            return self
         return BinaryForm(self.degree, tuple(a + b for a, b in
                                              zip(self.coefficients, other.coefficients)))
 
@@ -100,10 +105,11 @@ class BinaryForm:
         if isinstance(other, BinaryForm):
             deg = self.degree + other.degree
             out = [Fraction(0)] * (deg + 1)
+            nonzero = [(j, b) for j, b in enumerate(other.coefficients) if b]
             for i, a in enumerate(self.coefficients):
                 if not a:
                     continue
-                for j, b in enumerate(other.coefficients):
+                for j, b in nonzero:
                     out[i + j] += a * b
             return BinaryForm(deg, tuple(out))
         return self.scale(other)
@@ -266,13 +272,12 @@ class BinaryFormPair:
         return tuple(row[0].degree for row in self.fs_matrix)
 
     def generic_rank(self) -> int:
-        """Rank of the matrix over the function field, via exact minors."""
+        """Rank of the matrix over the function field: the largest k such that
+        some k rows have a nonzero maximal minor."""
         for k in range(min(self.r, self.n), 0, -1):
-            for rows in itertools.combinations(range(self.r), k):
-                sub = [self.fs_matrix[i] for i in rows]
-                for cols in itertools.combinations(range(self.n), k):
-                    if _det([[sub[i][j] for j in cols] for i in range(k)]):
-                        return k
+            for rows in itertools.combinations(self.fs_matrix, k):
+                if any(_maximal_minors(rows)):
+                    return k
         return 0
 
     def canonical(self) -> "BinaryFormPair":
@@ -337,30 +342,12 @@ def _rref(rows) -> list:
     return [tuple(r) for r in mat[:pivot_row] if any(r)]
 
 
-def _det(matrix) -> object:
-    """Determinant by first-row expansion; entries need +, *, scalar mul."""
-    k = len(matrix)
-    if k == 1:
-        return matrix[0][0]
-    total = None
-    for j in range(k):
-        if not matrix[0][j]:
-            continue
-        sub = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j] * _det(sub)
-        if j % 2:
-            term = -1 * term
-        total = term if total is None else total + term
-    if total is None:
-        zero = matrix[0][0] * 0
-        for row in matrix[1:]:
-            zero = zero * row[0]
-        return zero
-    return total
-
-
 def _maximal_minors(rows) -> list:
-    """All k x k minors of a k x N matrix, columns in lexicographic order."""
+    """All k x k minors of a k x N matrix, columns in lexicographic order.
+
+    Entries need +, * and scalar *; a vanishing minor is the product of one
+    entry per row times 0, so zero forms carry the minor's degree.
+    """
     k, ncols = len(rows), len(rows[0])
     memo = {}
 
@@ -391,6 +378,8 @@ def _maximal_minors(rows) -> list:
 
     out = []
     zero = rows[0][0] * 0
+    for row in rows[1:]:
+        zero = zero * row[0]
     for cols in itertools.combinations(range(ncols), k):
         val = minor(0, cols)
         out.append(zero if val is None else val)
@@ -452,19 +441,15 @@ def projective_normalize(coords: Sequence[Fraction]) -> tuple:
     raise ParameterError("zero vector has no projective normalization")
 
 
-def reconstruct(basis: SubspaceBasis, n: int, delta: int, r: int = 1) -> BinaryFormPair:
+def reconstruct(basis: SubspaceBasis, n: int, delta: int) -> BinaryFormPair:
     """Recover the pair whose image under ``embed_pair`` is the subspace.
 
     Rank one only: the section tuple is read off from componentwise form
     gcds, then cross-scaled through one exact division so all components
     share a single scalar.  The result is canonically scaled, and verified
     by re-embedding.  Higher rank would need a saturation algorithm and is
-    intentionally not provided.
+    intentionally not provided: a larger subspace raises ReconstructionError.
     """
-    if r != 1:
-        raise NotImplementedError(
-            "reconstruction is implemented for rank one; higher rank is only "
-            "covered by dimension checks")
     if n != basis.n or delta != basis.delta:
         raise ParameterError("n/delta inconsistent with the basis")
     k = len(basis.basis)
@@ -518,138 +503,64 @@ def smallest_working_delta(pair: BinaryFormPair, delta_max: int = 64) -> int:
 
 
 # ---------------------------------------------------------------------------
-# symbolic sweeps in a parameter t
+# sweeps: the standard curves as binary forms in (t:s)
 
 
-class TPoly:
-    """Univariate polynomial in the sweep parameter t over the rationals."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        self.coeffs = _strip(tuple(Fraction(c) for c in coeffs))
-
-    @staticmethod
-    def const(c) -> "TPoly":
-        return TPoly((Fraction(c),))
-
-    @staticmethod
-    def t_power(k: int, coeff=1) -> "TPoly":
-        return TPoly((Fraction(0),) * k + (Fraction(coeff),))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return TPoly(out)
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        return self + (-1) * other
-
-    def __neg__(self) -> "TPoly":
-        return (-1) * self
-
-    def __mul__(self, other):
-        if isinstance(other, TPoly):
-            if not self or not other:
-                return TPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return TPoly(out)
-        return TPoly(tuple(Fraction(other) * c for c in self.coeffs))
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self:
-            return "TPoly(0)"
-        return "TPoly(%s)" % ", ".join(str(c) for c in self.coeffs)
-
-
-def _tpoly_gcd(a: TPoly, b: TPoly) -> TPoly:
-    return TPoly(_poly_gcd(a.coeffs, b.coeffs))
-
-
-def _tpoly_div(a: TPoly, b: TPoly) -> TPoly:
-    quo, rem = _poly_divmod(a.coeffs, b.coeffs)
-    if rem:
-        raise ValueError("inexact polynomial division")
-    return TPoly(quo)
+def _power_coefficients(d: int) -> list:
+    """Coefficients of (s*x - t*y)^d, descending in x, as forms in (t:s)."""
+    return [BinaryForm.monomial(d, d - i, (-1) ** i * comb(d, i)) for i in range(d + 1)]
 
 
 def _sweep_section(family: str, d: int, p: Fraction) -> list:
-    """Descending-x coefficients of the swept section, as polynomials in t.
+    """Descending-x coefficients of the swept section, as forms in (t:s).
 
-    d0 family: (x - t*y)^d.  d1 family: (x - p*y) * (x - t*y)^(d-1).
+    d0 family: (s*x - t*y)^d.  d1 family: (x - p*y) * (s*x - t*y)^(d-1).
     """
     if family == "d0":
         if d < 1:
             raise ParameterError("d0 family needs d >= 1")
-        return [TPoly.t_power(i, Fraction((-1) ** i * comb(d, i)))
-                for i in range(d + 1)]
+        return _power_coefficients(d)
     if family == "d1":
         if d < 2:
             raise ParameterError("d1 family needs d >= 2")
-        inner = [TPoly.t_power(i, Fraction((-1) ** i * comb(d - 1, i)))
-                 for i in range(d)]
-        out = [TPoly() for _ in range(d + 1)]
-        for i, c in enumerate(inner):
-            out[i] = out[i] + c                      # x * c
-            out[i + 1] = out[i + 1] + (-p) * c       # -p*y * c
-        return out
+        inner = _power_coefficients(d - 1)
+        zero = BinaryForm.zero(d - 1)
+        return [a + (-p) * b for a, b in zip(inner + [zero], [zero] + inner)]
     raise ParameterError("family must be 'd0' or 'd1'")
 
 
 def plucker_sweep(family: str, d: int, delta: int, p=Fraction(2)) -> tuple:
-    """Plucker coordinates of the swept curve as polynomials in t, with any
-    common polynomial factor divided out."""
+    """Plucker coordinates of the swept curve P^1 -> P^N as binary forms in
+    (t:s), with their common factor (the base locus) divided out.
+
+    Every coordinate, zero or not, has the same degree: the curve degree.
+    """
     if delta < d:
         raise DeltaTooSmallError("delta too small for this pair")
     section = _sweep_section(family, d, Fraction(p))
+    zero = BinaryForm.zero(section[0].degree)
     e = delta - d
-    rows = []
-    for k in range(e + 1):
-        row = [TPoly() for _ in range(delta + 1)]
-        for i, c in enumerate(section):
-            row[k + i] = c
-        rows.append(row)
+    rows = [[zero] * k + section + [zero] * (e - k) for k in range(e + 1)]
     minors = _maximal_minors(rows)
     nonzero = [m for m in minors if m]
     if not nonzero:
         raise ParameterError("degenerate sweep: all coordinates vanish")
     common = nonzero[0]
     for m in nonzero[1:]:
-        common = _tpoly_gcd(common, m)
+        common = form_gcd(common, m)
         if common.degree == 0:
-            break
-    if common.degree > 0:
-        minors = [(_tpoly_div(m, common) if m else m) for m in minors]
-    return tuple(minors)
+            return tuple(minors)
+    return tuple(form_div_exact(m, common) for m in minors)
+
+
+def t_degree(coord: BinaryForm) -> Optional[int]:
+    """Degree of a swept coordinate in the affine parameter t (s = 1);
+    None for a vanishing coordinate."""
+    return coord.degree - coord.y_valuation() if coord else None
 
 
 def curve_degree(family: str, d: int, delta: int, p=Fraction(2)) -> int:
-    """Degree of the image of the swept curve: the maximal t-degree over the
-    cleared Plucker coordinates."""
+    """Degree of the swept curve: the common degree of its Plucker
+    coordinates once the base locus is removed."""
     coords = plucker_sweep(family, d, delta, p)
     return max(m.degree for m in coords if m)

@@ -46,7 +46,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .moduli_numerics import ParameterError, require_finite
+from .moduli_numerics import (ParameterError, PhysicalParams, StabilityReport,
+                              require_finite, stability_check)
 
 __all__ = [
     "TorusSpec",
@@ -149,11 +150,9 @@ class VortexProblem:
         h1, h2 = self.torus.spacing
         return 3.0 * max(h1, h2)
 
-    def margin(self) -> float:
-        return self.tau * self.e2 * self.torus.vol - 4.0 * pi * self.d
-
-    def critical_tau(self) -> float:
-        return 4.0 * pi * self.d / (self.e2 * self.torus.vol)
+    def stability(self) -> StabilityReport:
+        """The shared stability predicate, ``moduli_numerics.stability_check``."""
+        return stability_check(PhysicalParams(self.e2, self.tau, self.torus.vol), self.d)
 
 
 @dataclass(frozen=True)
@@ -208,12 +207,12 @@ def _source_grid(prob: VortexProblem) -> np.ndarray:
 
 def solve(prob: VortexProblem) -> TorusVortexState:
     """Damped Newton iteration on the discretized scalar vortex equation."""
-    margin = prob.margin()
-    if margin <= 0.0:
+    rep = prob.stability()
+    if not rep.stable:
         raise StabilityError(
-            "stability violated: tau*e2*Vol - 4*pi*d = %.6g <= 0 "
-            "(critical tau = %.12g)" % (margin, prob.critical_tau()),
-            prob.critical_tau())
+            "stability violated: tau*e2*Vol - 4*pi*d = %.6g is not above its "
+            "round-off slack (critical tau = %.12g)" % (rep.margin, rep.critical_tau),
+            rep.critical_tau)
     torus = prob.torus
     h1, h2 = torus.spacing
     cell = h1 * h2
@@ -310,15 +309,15 @@ def bradlow_sweep(template: VortexProblem, vol_list: Sequence[float]) -> list:
         prob = VortexProblem(torus, zeros, template.e2, template.tau,
                              reg_width=reg, tol=template.tol,
                              max_iter=template.max_iter)
-        if prob.margin() <= 0.0:
+        rep = prob.stability()
+        if not rep.stable:
             raise StabilityError(
                 "volume %.6g is at or below the dissolving threshold" % vol,
-                prob.critical_tau())
-        problems.append(prob)
-    for prob in problems:
+                rep.critical_tau)
+        problems.append((prob, rep))
+    for prob, rep in problems:
         state = solve(prob)
-        rows.append(SweepRow(prob.torus.vol, prob.margin(),
-                             state.sup_phi2, state.higgs_l2))
+        rows.append(SweepRow(prob.torus.vol, rep.margin, state.sup_phi2, state.higgs_l2))
     return rows
 
 

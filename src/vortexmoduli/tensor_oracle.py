@@ -62,6 +62,15 @@ def _factor_mul(e1: int, e2: int, g: int):
     return None
 
 
+def _accumulate(out: dict, key: tuple[int, ...], c: Fraction) -> None:
+    """Add c to out[key], dropping the entry when the sum is zero."""
+    acc = out.get(key, Fraction(0)) + c
+    if acc:
+        out[key] = acc
+    else:
+        out.pop(key, None)
+
+
 @dataclass(frozen=True)
 class TensorClass:
     """Rational combination of d-tuples of factor basis elements."""
@@ -73,11 +82,7 @@ class TensorClass:
         self._check(other)
         out = dict(self.terms)
         for t, c in other.terms.items():
-            acc = out.get(t, Fraction(0)) + c
-            if acc:
-                out[t] = acc
-            else:
-                out.pop(t, None)
+            _accumulate(out, t, c)
         return TensorClass(self.params, out)
 
     def __sub__(self, other: "TensorClass") -> "TensorClass":
@@ -170,11 +175,7 @@ def oracle_multiply(a: TensorClass, b: TensorClass) -> TensorClass:
             if prod is None:
                 continue
             sign, tup = prod
-            acc = out.get(tup, Fraction(0)) + sign * cs * ct
-            if acc:
-                out[tup] = acc
-            else:
-                out.pop(tup, None)
+            _accumulate(out, tup, sign * cs * ct)
     return TensorClass(a.params, out)
 
 
@@ -221,10 +222,5 @@ def permute_factors(a: TensorClass, perm: tuple[int, ...]) -> TensorClass:
             for bi in range(ai + 1, len(odd_slots)):
                 if perm[odd_slots[ai]] > perm[odd_slots[bi]]:
                     sign = -sign
-        tup = tuple(new)
-        acc = out.get(tup, Fraction(0)) + sign * c
-        if acc:
-            out[tup] = acc
-        else:
-            out.pop(tup, None)
+        _accumulate(out, tuple(new), sign * c)
     return TensorClass(a.params, out)

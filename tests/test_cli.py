@@ -34,6 +34,29 @@ def test_byte_identical_output(capsys):
     assert out1 == out2
 
 
+GOLDEN_GENUS0 = [
+    (("genus0", "--family", "d0", "--d", "2", "--delta", "3"),
+     '{"coordinate_t_degrees": [0, 1, 2, 2, 3, 4], "curve_degree": 4, "d": 2, '
+     '"delta": 3, "family": "d0"}\n'),
+    (("genus0", "--family", "d1", "--d", "3", "--delta", "5"),
+     '{"coordinate_t_degrees": [0, 1, 2, 2, 2, 3, 3, 4, 4, 4, 3, 4, 4, 5, 5, 5, '
+     '6, 6, 6, 6], "curve_degree": 6, "d": 3, "delta": 5, "family": "d1"}\n'),
+    (("genus0", "--s", "1,0,-1"),
+     '{"basis": [["1", "0", "0", "0", "-1"], ["0", "1", "0", "-1", "0"], '
+     '["0", "0", "1", "0", "-1"]], "d": 2, "delta": 4, "plucker": ["1", "0", '
+     '"-1", "1", "0", "1", "0", "-1", "0", "-1"], "reconstructed": "x^2 + -y^2", '
+     '"smallest_delta": 2, "subspace_dim": 3}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN_GENUS0,
+                         ids=["d0-2-3", "d1-3-5", "s-1,0,-1"])
+def test_genus0_golden_output(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
 def test_kahler_subcommand(capsys):
     code, out, _ = run_cli(capsys, "kahler", "--d", "2", "--g", "2",
                            "--elldelta", "5")

@@ -10,7 +10,6 @@ from vortexmoduli.genus0 import (
     RankDeficientError,
     ReconstructionError,
     SubspaceBasis,
-    TPoly,
     curve_degree,
     divisor_form,
     embed_pair,
@@ -21,6 +20,7 @@ from vortexmoduli.genus0 import (
     projective_normalize,
     reconstruct,
     smallest_working_delta,
+    t_degree,
 )
 from vortexmoduli.moduli_numerics import ParameterError
 
@@ -171,8 +171,8 @@ def test_reconstruct_rejects_bad_subspace():
 def test_reconstruct_higher_rank_unimplemented():
     rows = ((form(1, 0), BinaryForm.zero(1)), (BinaryForm.zero(1), form(0, 1)))
     basis = embed_pair(BinaryFormPair(2, 2, 2, rows), 2)
-    with pytest.raises(NotImplementedError):
-        reconstruct(basis, 2, 2, r=2)
+    with pytest.raises(ReconstructionError):
+        reconstruct(basis, 2, 2)
 
 
 def test_smallest_working_delta():
@@ -204,15 +204,30 @@ def test_sweep_coordinates_have_no_common_factor():
     coords = plucker_sweep("d1", 3, 5)
     nonzero = [c for c in coords if c]
     g = nonzero[0]
-    from vortexmoduli.genus0 import _tpoly_gcd
     for c in nonzero[1:]:
-        g = _tpoly_gcd(g, c)
+        g = form_gcd(g, c)
     assert g.degree == 0
 
 
-def test_tpoly_arithmetic():
-    t = TPoly.t_power(1)
-    p = (t * t - TPoly.const(1)) * (t - TPoly.const(2))
+def test_sweep_coordinates_share_one_degree_even_when_vanishing():
+    # at p = 0 the d1 section ends in a zero coefficient and several
+    # coordinates vanish; they still carry the curve degree
+    coords = plucker_sweep("d1", 3, 5, 0)
+    assert any(not c for c in coords)
+    assert {c.degree for c in coords} == {curve_degree("d1", 3, 5, 0)} == {6}
+    assert [t_degree(c) for c in coords] == [
+        0, 1, 2, None, 2, 3, None, 4, None, None,
+        3, 4, None, 5, None, None, 6, None, None, None]
+    for d in range(2, 5):
+        for delta in range(d + 1, 10):
+            coords = plucker_sweep("d1", d, delta, 0)
+            assert {c.degree for c in coords} == {curve_degree("d1", d, delta, 0)}
+
+
+def test_sweep_form_arithmetic():
+    # polynomials in the sweep parameter are binary forms in (t:s)
+    t, s = form(1, 0), form(0, 1)
+    p = (t * t - s * s) * (t - 2 * s)
     assert p.degree == 3
-    assert (p - p).degree == -1
+    assert not p - p
     assert 2 * t == t + t

@@ -78,6 +78,19 @@ def test_stability_refusal():
         solve(square_problem(1, 1.0))  # exactly critical
 
 
+def test_solver_shares_the_stability_predicate():
+    # a margin inside stability_check's relative slack is unstable for the
+    # solver and the sweep too, not only for the stability command
+    prob = square_problem(1, 2.0, grid=32, tau=0.5 * (1 + 1e-13))
+    assert 0.0 < prob.tau * prob.e2 * prob.torus.vol - 4 * pi
+    assert not prob.stability().stable
+    with pytest.raises(StabilityError):
+        solve(prob)
+    template = square_problem(1, 2.0, grid=32)
+    with pytest.raises(StabilityError):
+        bradlow_sweep(template, [4 * pi * (1 + 1e-13)])
+
+
 def test_max_iter_enforced():
     with pytest.raises(NonConvergenceError):
         solve(square_problem(1, 2.0, max_iter=1, tol=1e-14))
