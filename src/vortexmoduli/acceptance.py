@@ -257,10 +257,10 @@ def check_quantization() -> str:
     return "q lands on d and d+1 at the two reference couplings; consistency iff q = d"
 
 
-def _pde_case(d: int, grid: int = 256):
+def _pde_case(d: int):
     vol = 4 * pi * (d + 1)
     side = sqrt(vol)
-    torus = taubes_solver.TorusSpec(side, side, grid, grid)
+    torus = taubes_solver.TorusSpec(side, side, 256, 256)
     if d == 1:
         zeros = ((side / 2, side / 2, 1),)
     else:

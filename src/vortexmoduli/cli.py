@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except taubes_solver.NonConvergenceError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
-    except (ParameterError, taubes_solver.StabilityError, ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         detail = {"error": str(exc)}
         if isinstance(exc, taubes_solver.StabilityError):
             detail["critical_tau"] = exc.critical_tau

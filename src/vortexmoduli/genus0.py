@@ -44,6 +44,8 @@ __all__ = [
     "divisor_form",
 ]
 
+DELTA_MAX = 64  # largest twist smallest_working_delta tries
+
 
 class DeltaTooSmallError(ValueError):
     """The twist is below the effective threshold for this pair."""
@@ -488,18 +490,18 @@ def reconstruct(basis: SubspaceBasis, n: int, delta: int) -> BinaryFormPair:
     return pair
 
 
-def smallest_working_delta(pair: BinaryFormPair, delta_max: int = 64) -> int:
-    """Least twist at which the embedding has the expected dimension.
+def smallest_working_delta(pair: BinaryFormPair) -> int:
+    """Least twist up to DELTA_MAX at which the embedding has the expected dimension.
 
     RankDeficientError propagates: no twist fixes a bad pair.
     """
-    for delta in range(1, delta_max + 1):
+    for delta in range(1, DELTA_MAX + 1):
         try:
             embed_pair(pair, delta)
             return delta
         except (DeltaTooSmallError, ParameterError):
             continue
-    raise DeltaTooSmallError("no working delta up to %d" % delta_max)
+    raise DeltaTooSmallError("no working delta up to %d" % DELTA_MAX)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,12 @@ quotient is the set of monomials eta^h * xi_S with h + |S| <= d.  In top
 degree 2d only eta^d survives, which is the fundamental class; integration
 just reads off its coefficient.
 
-The reduction is recursive.  A monomial with a complete pair is rewritten
-through the relation instance whose sigma-complete term is the monomial
-itself; the instance's coefficients are all +/-1, and each of its other
-terms has fewer pairs and a higher eta-power.  Each rewrite lowers the pair
-count, so the recursion ends, and the normal form of a monomial is a table
-of integer coefficients.  Tables are memoized for the duration of one
-normalization, so the monomials that many instances share are reduced once
-per call; nothing is cached across calls.
+The reduction is one closed formula (Macdonald, "Symmetric products of an
+algebraic curve", Topology 1, 1962).  A monomial eta^h * xi_F * sigma_P with
+complete pairs P and lone factors F has, with k = d - h - |F| - |P|, the
+normal form sum_{Q in P, |Q| <= k} (-1)^(k-|Q|) C(|P|-1-|Q|, k-|Q|)
+eta^(h+|P|-|Q|) xi_F sigma_Q; it vanishes when k < 0.  Each monomial is
+expanded directly.
 
 All coefficients are exact rationals; there is no floating point in this
 module.  Values are immutable after construction and every operation is a
@@ -40,6 +38,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from typing import Mapping
 
 __all__ = [
@@ -159,60 +159,23 @@ def _split_pairs(xi_indices: tuple[int, ...], g: int):
 
 
 def _normalize_terms(params: RingParams, terms: Mapping[Monomial, Fraction]) -> dict:
-    """Reduce a term map to normal form.
+    """Reduce a term map to normal form by Macdonald's closed formula.
 
-    A monomial with h + |S| <= d is already normal and is added as it is.
-    Otherwise, monomials of cohomological degree above 2d drop out, and
-    monomials with h + |A| + |B| + |P| > d are annihilated outright by a
-    pair-free relation instance.  Every other monomial carries a complete
-    pair and is replaced by its integer normal form from ``reduce``, scaled
-    by its coefficient; so a caller's Fraction meets the table once per
-    input monomial.
+    Write a monomial as +/- eta^h * xi_F * sigma_P, with P its complete
+    pairs and F its lone factors, and let k = d - h - |F| - |P|.  If
+    h + |S| <= d it is already normal and is added as it is; if k < 0 (every
+    monomial above degree 2d among them) a pair-free relation instance
+    annihilates it.  Otherwise 0 <= k < |P|, and
 
-    ``reduce`` rewrites eta^h * xi_S through the relation instance
-    (r = h, I1 = A, I2 = B, J = P), whose terms all have coefficient +/-1:
-    the instance's sigma-complete term is +/- the monomial itself, and every
-    other term has fewer pairs and a higher eta-power, in the same degree and
-    with the same h + |A| + |B| + |pairs|, so no further term drops out.  The
-    recursion terminates because each rewrite strictly lowers the pair
-    count, and every table it returns has integer coefficients.  Tables are
-    memoized by (eta_power, xi_indices) in a dict that lives for this call
-    only, so monomials shared between the instances are reduced once.
+        eta^h * xi_F * sigma_P  =  sum over Q in P with |Q| <= k of
+            (-1)^(k-|Q|) * C(|P|-1-|Q|, k-|Q|) * eta^(h+|P|-|Q|) * xi_F * sigma_Q.
+
+    The instance (r = h, I1 u I2 = F, J = P) rewrites sigma_P as
+    sum_{R < P} (-1)^(|P|+|R|+1) * eta^(|P|-|R|) * sigma_R, every term with
+    the same k, so induction on |P| gives the binomial.
     """
     d, g = params.d, params.g
-    memo: dict[tuple, dict] = {}
-
-    def reduce(key: tuple) -> dict:
-        table = memo.get(key)
-        if table is not None:
-            return table
-        h, s = key
-        pairs = _split_pairs(s, g)[0]
-        free = tuple(i for i in s if (i if i <= g else i - g) not in pairs)
-        # The relation instance eta^h * xi_free * prod_{j in P} (eta - sigma_j);
-        # each subset of P gives a distinct monomial.
-        rel = {(h, free): 1}
-        for j in pairs:
-            step = {}
-            for (e, t), c in rel.items():
-                step[(e + 1, t)] = c
-                sign, merged = _merge_xi(t, (j, j + g))
-                step[(e, merged)] = -sign * c
-            rel = step
-        rho = rel.pop(key)
-        table = {}
-        for k, c in rel.items():
-            c = -rho * c  # 1/rho == rho
-            if k[0] + len(k[1]) <= d:
-                _accumulate(table, k, c)
-            else:
-                for kk, v in reduce(k).items():
-                    _accumulate(table, kk, c * v)
-        memo[key] = table
-        return table
-
     result: dict[Monomial, Fraction] = {}
-    reduced: dict[tuple, Fraction] = {}
     for m, c in terms.items():
         c = Fraction(c)
         if not c:
@@ -221,15 +184,19 @@ def _normalize_terms(params: RingParams, terms: Mapping[Monomial, Fraction]) -> 
         if h + len(s) <= d:
             _accumulate(result, m, c)
             continue
-        if 2 * h + len(s) > 2 * d:
+        pairs = _split_pairs(s, g)[0]
+        free = tuple(i for i in s if (i if i <= g else i - g) not in pairs)
+        n = len(pairs)
+        k = d - h - len(free) - n
+        if k < 0:
             continue
-        pairs, lows, highs = _split_pairs(s, g)
-        if h + len(lows) + len(highs) + len(pairs) > d:
-            continue
-        for k, v in reduce((h, s)).items():
-            _accumulate(reduced, k, c * v)
-    for (h, s), c in reduced.items():
-        _accumulate(result, Monomial(h, s), c)
+        # xi_S = eps * xi_F * sigma_P; xi_F * sigma_Q = (-1)^(q(q-1)/2) * xi_F * xi_Q * xi_{Q+g}
+        eps = _merge_xi(free, pairs + tuple(j + g for j in pairs))[0] * (-1) ** (n * (n - 1) // 2)
+        for q in range(k + 1):
+            coeff = c * (eps * (-1) ** (k - q + q * (q - 1) // 2) * comb(n - 1 - q, k - q))
+            for sub in combinations(pairs, q):
+                sign, t = _merge_xi(free, sub + tuple(j + g for j in sub))
+                _accumulate(result, Monomial(h + n - q, t), sign * coeff)
     return result
 
 
@@ -344,7 +311,7 @@ def sigma(params: RingParams) -> CohomologyClass:
 
 
 def multiply(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-    """Graded-commutative product, reduced to normal form."""
+    """Graded-commutative product, brought to normal form."""
     a._check(b)
     return CohomologyClass.from_terms(a.params, _raw_mul_terms(dict(a.terms), dict(b.terms)))
 

@@ -206,10 +206,19 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
     assert "finite" in json.loads(err)["error"]
 
 
-def test_non_finite_result_is_not_printed(capsys):
+@pytest.mark.parametrize("argv", [
     # finite inputs whose margin overflows to inf: no strict-JSON form
-    code, out, err = run_cli(capsys, "stability", "--e2", "1e300", "--tau", "1e300",
-                             "--vol", "1", "--d", "1")
+    ("stability", "--e2", "1e300", "--tau", "1e300", "--vol", "1", "--d", "1"),
+    # arithmetic errors raised while computing the result
+    ("ring", "1/0*eta", "--d", "2", "--g", "1"),
+    ("genus0", "--s", "1/0,1"),
+    ("stability", "--e2", "1e-200", "--tau", "1", "--vol", "1e-200", "--d", "1"),
+    ("kahler", "--d", "2", "--g", "1", "--elldelta", "3",
+     "--e2", "1e200", "--tau", "1e200", "--vol", "1e200"),
+], ids=["stability-margin-overflow", "ring-zero-denominator", "genus0-zero-denominator",
+        "stability-underflow", "kahler-overflow"])
+def test_non_finite_result_is_not_printed(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "error" in json.loads(err)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 from typing import Mapping
@@ -371,6 +372,29 @@ def test_normal_form_matches_worklist_reference(data):
     want = _worklist_normalize_terms(params, terms)
     assert got == want
     assert all(type(c) is Fraction for c in got.values())
+
+
+def test_normal_form_matches_worklist_reference_with_many_pairs():
+    # single monomials with up to six complete pairs, beyond the g <= 3 above
+    rng = random.Random(20100)
+    expanded = 0
+    for _ in range(400):
+        params = RingParams(rng.randint(4, 10), rng.randint(3, 6))
+        d, g = params.d, params.g
+        js = rng.sample(range(1, g + 1), g)
+        n = rng.randint(1, min(6, g, d))
+        pairs, rest = js[:n], js[n:]
+        lone = rest[:rng.randint(0, min(len(rest), d - n))]
+        free = [j + g * rng.randint(0, 1) for j in lone]
+        s = tuple(sorted(pairs + [j + g for j in pairs] + free))
+        top = d - len(free) - n  # the largest eta-power with k >= 0
+        h = rng.randint(max(0, top - n), top + 1)
+        c = Fraction(2 * rng.randint(-5, 4) + 1, 2 * rng.randint(1, 4))
+        terms = {Monomial(h, s): c}
+        want = _worklist_normalize_terms(params, terms)
+        assert _normalize_terms(params, terms) == want, (params, terms)
+        expanded += h + len(s) > d and bool(want)
+    assert expanded >= 150
 
 
 def test_serialization_round_trip():
