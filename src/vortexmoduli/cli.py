@@ -274,9 +274,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _ring_expression_guard(argv: list) -> list:
+    """argparse reads an argument that starts with '-' as an option unless
+    it contains a space, and parse_class ignores whitespace.  So after the
+    ``ring`` subcommand one space goes in front of every single-dash
+    argument other than -h (ring's other options are all long), which keeps
+    an expression such as "-5/2*eta" positional."""
+    command = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
+    if command is None or argv[command] != "ring":
+        return argv
+    return argv[:command + 1] + [
+        " " + a if a.startswith("-") and not a.startswith("--") and a != "-h" else a
+        for a in argv[command + 1:]]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_ring_expression_guard(
+        sys.argv[1:] if argv is None else list(argv)))
     try:
         payload = args.func(args)
         if payload is not None:

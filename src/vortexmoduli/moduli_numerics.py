@@ -158,17 +158,29 @@ class StabilityReport:
 
 
 def stability_check(phys: PhysicalParams, d: int, r: int = 1) -> StabilityReport:
-    """Strict stability inequality tau * e^2 * Vol > 4*pi*d.
+    """Strict stability inequality r * tau * e^2 * Vol > 4*pi*d.
 
-    ``critical_tau`` is where the inequality saturates and vortices dissolve.
-    A tau within relative tolerance of the critical value reports unstable.
+    For rank r the second vortex equation sets the curvature of the
+    rank-r bundle to F = -i*B*vol with B = (e^2/2)(tau*1_r - phi phi^*),
+    and degree d means (1/2pi) int tr B = d.  Taking the trace gives
+
+        int |phi|^2 = r*tau*Vol - 4*pi*d/e^2,
+
+    and |phi|^2 >= 0 with phi not identically zero needs the right side
+    positive: the slope bound tau*e^2*Vol > 4*pi*d/r (Bradlow, Comm. Math.
+    Phys. 135, 1990).  At r = 1 this is the abelian Bradlow identity.
+
+    ``margin`` is r*tau*e^2*Vol - 4*pi*d and ``critical_tau`` =
+    4*pi*d/(r*e^2*Vol) is where the inequality saturates and vortices
+    dissolve.  A tau within relative tolerance of the critical value
+    reports unstable.
     """
     if r < 1:
         raise ParameterError("rank r must be >= 1")
     if d < 0:
         raise ParameterError("degree d must be >= 0")
-    lhs = phys.tau * phys.e2 * phys.vol
+    lhs = r * phys.tau * phys.e2 * phys.vol
     margin = lhs - 4.0 * pi * d
-    critical = 4.0 * pi * d / (phys.e2 * phys.vol)
+    critical = 4.0 * pi * d / (r * phys.e2 * phys.vol)
     stable = margin > CRITICAL_TAU_RTOL * max(abs(lhs), 4.0 * pi * d)
     return StabilityReport(stable, margin, critical)

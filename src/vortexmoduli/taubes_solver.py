@@ -27,10 +27,11 @@ Discretization: second-order five-point Laplacian on a uniform periodic
 grid.  Each delta source is replaced by a periodic Gaussian bump whose
 *discrete* integral is normalized to exactly 4*pi*m_i, so both identities
 hold at the discrete level up to the Newton residual.  Linearized steps are
-solved by conjugate gradients on the positive-definite operator
--Lap + e^2*tau*e^u, preconditioned by the constant-coefficient inverse
-applied in Fourier space.  Damping is residual backtracking with factor 1/2
-down to steps of 2^-10.
+solved by preconditioned conjugate gradients (the in-module recurrence
+``_pcg``, run on the 2-D grids) for the positive-definite operator
+-Lap + e^2*tau*e^u, with the constant-coefficient inverse applied in
+Fourier space as the preconditioner.  Damping is residual backtracking
+with factor 1/2 down to steps of 2^-10.
 
 A solve owns its grids; independent problems can run concurrently.  All
 reductions are plain numpy sums over fixed-shape arrays, so repeated runs
@@ -44,7 +45,6 @@ from math import pi, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .moduli_numerics import (ParameterError, PhysicalParams, StabilityReport,
                               require_finite, stability_check)
@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 MIN_NEWTON_STEP = 2.0 ** -10
+CG_MAX_ITER = 2000
 
 
 class StabilityError(ValueError):
@@ -205,6 +206,32 @@ def _source_grid(prob: VortexProblem) -> np.ndarray:
     return total
 
 
+def _pcg(apply_a, apply_m, b: np.ndarray, rtol: float) -> np.ndarray:
+    """Preconditioned conjugate gradients for A x = b from x = 0.
+
+    Stops when ||r|| < rtol*||b||, tested before each step, or after
+    CG_MAX_ITER steps.  b must be nonzero, as a Newton residual above tol
+    is.  Dot products are np.dot on flattened views, so the iterates do
+    not depend on the grid shape.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    threshold = rtol * float(np.linalg.norm(b))
+    rho_prev = p = None
+    for _ in range(CG_MAX_ITER):
+        if np.linalg.norm(r) < threshold:
+            break
+        z = apply_m(r)
+        rho = np.dot(r.ravel(), z.ravel())
+        p = z if p is None else p * (rho / rho_prev) + z
+        q = apply_a(p)
+        alpha = rho / np.dot(p.ravel(), q.ravel())
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x
+
+
 def solve(prob: VortexProblem) -> TorusVortexState:
     """Damped Newton iteration on the discretized scalar vortex equation."""
     rep = prob.stability()
@@ -220,7 +247,6 @@ def solve(prob: VortexProblem) -> TorusVortexState:
     source = _source_grid(prob)
     symbol = _fourier_symbol(torus)
     shape = (torus.N1, torus.N2)
-    size = torus.N1 * torus.N2
 
     def fft_solve(rhs: np.ndarray, shift: float) -> np.ndarray:
         return np.fft.irfft2(np.fft.rfft2(rhs) / (symbol + shift), s=shape)
@@ -241,21 +267,10 @@ def solve(prob: VortexProblem) -> TorusVortexState:
                 "no convergence within %d Newton iterations (residual %.3g)"
                 % (prob.max_iter, rnorm), rnorm, iterations)
         weight = e2tau * np.exp(u)
-
-        def matvec(v):
-            vv = v.reshape(shape)
-            return (-_laplacian(vv, h1, h2) + weight * vv).ravel()
-
         shift = float(weight.mean())
-
-        def precond(v):
-            return fft_solve(v.reshape(shape), shift).ravel()
-
-        op = LinearOperator((size, size), matvec=matvec, dtype=float)
-        pre = LinearOperator((size, size), matvec=precond, dtype=float)
         rtol = max(1e-12, min(1e-3, 0.1 * rnorm / rnorm0))
-        step, _ = cg(op, res.ravel(), rtol=rtol, atol=0.0, M=pre, maxiter=2000)
-        step = step.reshape(shape)
+        step = _pcg(lambda v: -_laplacian(v, h1, h2) + weight * v,
+                    lambda v: fft_solve(v, shift), res, rtol)
 
         alpha = 1.0
         while True:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from math import pi, sqrt
 
 import pytest
@@ -25,6 +28,31 @@ def test_ring_oracle_agrees(capsys):
     code2, out2, _ = run_cli(capsys, "ring", expr, "--d", "2", "--g", "2", "--oracle")
     assert code == code2 == 0
     assert json.loads(out)["integral"] == json.loads(out2)["integral"]
+
+
+@pytest.mark.parametrize("expr,d,g,normal_form", [
+    ("-5/2*eta", "2", "1", "-5/2*eta"),
+    ("-eta^2+sigma", "2", "2", "xi[1,3] + xi[2,4] - eta^2"),
+])
+def test_ring_accepts_leading_minus(capsys, expr, d, g, normal_form):
+    # the expression before the options, as documented, reads the same as
+    # the "--"-separated form
+    code, out, err = run_cli(capsys, "ring", expr, "--d", d, "--g", g)
+    code2, out2, _ = run_cli(capsys, "ring", "--d", d, "--g", g, "--", expr)
+    assert (code, err) == (0, "")
+    assert code2 == 0
+    assert out == out2
+    assert json.loads(out)["normal_form"] == normal_form
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, vortexmoduli.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_byte_identical_output(capsys):
@@ -91,6 +119,17 @@ def test_embed_and_stability(capsys):
                            "--vol", str(4 * pi * 3), "--d", "2")
     assert code == 0
     assert json.loads(out)["stable"] is True
+
+
+def test_stability_rank(capsys):
+    argv = ("stability", "--e2", "1", "--tau", "1", "--vol", str(6 * pi), "--d", "2")
+    _, out1, _ = run_cli(capsys, *argv)
+    _, out2, _ = run_cli(capsys, *argv, "--r", "2")
+    one, two = json.loads(out1), json.loads(out2)
+    assert not one["stable"] and two["stable"]
+    assert one["critical_tau"] == pytest.approx(4.0 / 3.0)
+    assert two["critical_tau"] == pytest.approx(2.0 / 3.0)
+    assert two["margin"] == pytest.approx(4 * pi)
 
 
 def test_strata_subcommand(capsys):
@@ -219,6 +258,27 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
         "stability-underflow", "kahler-overflow"])
 def test_non_finite_result_is_not_printed(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+_GOOD_CONFIG = "L1 = 6\nL2 = 6\nN1 = 32\nN2 = 32\ne2 = 1\ntau = 1\nzero = 3 3 1\n"
+
+
+@pytest.mark.parametrize("text", [
+    _GOOD_CONFIG.replace("tau = 1\n", ""),
+    _GOOD_CONFIG + "max_iter 20\n",
+    _GOOD_CONFIG + "zero = 1 1 1 1\n",
+    _GOOD_CONFIG.replace("e2 = 1", "e2 = one"),
+    _GOOD_CONFIG.replace("N1 = 32", "N1 = 32.5"),
+    _GOOD_CONFIG + "zero = 1 y\n",
+], ids=["missing-key", "no-equals", "zero-four-fields", "non-numeric-float",
+        "non-integer-grid", "non-numeric-zero"])
+def test_malformed_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "vortex", "--config", str(cfg))
     assert code == 2
     assert out == ""
     assert "error" in json.loads(err)

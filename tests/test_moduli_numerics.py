@@ -90,6 +90,24 @@ def test_stability_examples():
     assert stability_check(PhysicalParams(1.0, 0.5, 1.0), 0).stable
 
 
+def test_stability_rank_enters_as_slope_bound():
+    # r*tau*e2*Vol > 4*pi*d: at d = 2, Vol = 6*pi, e2 = tau = 1 a rank-1
+    # bundle dissolves while a rank-2 one is stable
+    phys = PhysicalParams(1.0, 1.0, 6 * pi)
+    one, two = stability_check(phys, 2, 1), stability_check(phys, 2, 2)
+    assert not one.stable
+    assert one.margin == pytest.approx(-2 * pi)
+    assert one.critical_tau == pytest.approx(4.0 / 3.0)
+    assert two.stable
+    assert two.margin == pytest.approx(4 * pi)
+    assert two.critical_tau == pytest.approx(2.0 / 3.0)
+    # the factor r = 1 is exact, so the default keeps every bit
+    odd = PhysicalParams(0.7, 1.3, 17.1)
+    assert stability_check(odd, 3, 1) == stability_check(odd, 3)
+    assert stability_check(odd, 3).margin == 1.3 * 0.7 * 17.1 - 4.0 * pi * 3
+    assert stability_check(odd, 3).critical_tau == 4.0 * pi * 3 / (0.7 * 17.1)
+
+
 def test_stability_monotonicity():
     vol = 10.0
     margins = [stability_check(PhysicalParams(1.0, tau, vol), 1).margin

@@ -15,6 +15,7 @@ from vortexmoduli.symring import (
     _raw_mul_terms,
     _split_pairs,
     eta,
+    format_class,
     integrate,
     multiply,
     normal_form,
@@ -395,6 +396,28 @@ def test_normal_form_matches_worklist_reference_with_many_pairs():
         assert _normalize_terms(params, terms) == want, (params, terms)
         expanded += h + len(s) > d and bool(want)
     assert expanded >= 150
+
+
+@st.composite
+def _normal_classes(draw):
+    # any class the constructors produce is in normal form; a leading
+    # coefficient that is negative or not an integer exercises the sign
+    # and fraction spelling of format_class
+    params = draw(st.builds(RingParams, st.integers(1, 5), st.integers(0, 3)))
+    monos = draw(st.lists(
+        st.tuples(_monomials(params),
+                  st.fractions(min_value=-20, max_value=20, max_denominator=12)),
+        min_size=1, max_size=4))
+    return params, _class_from(params, monos)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_normal_classes())
+@example((RingParams(2, 1), (eta(RingParams(2, 1)) ** 2).scale(Fraction(-5, 2))))
+@example((RingParams(3, 2), unit(RingParams(3, 2)).scale(Fraction(-1))))
+def test_parse_format_round_trip(data):
+    params, cls = data
+    assert parse_class(format_class(cls), params) == cls
 
 
 def test_serialization_round_trip():

@@ -2,13 +2,18 @@ from math import pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vortexmoduli.moduli_numerics import ParameterError
 from vortexmoduli.taubes_solver import (
+    CG_MAX_ITER,
     NonConvergenceError,
     StabilityError,
     TorusSpec,
     VortexProblem,
+    _fourier_symbol,
+    _laplacian,
+    _pcg,
     bradlow_sweep,
     parse_config,
     solve,
@@ -213,3 +218,85 @@ def test_write_field_format(tmp_path):
     assert int(header[4]) == 1
     grid = np.frombuffer(payload, dtype="<f8").reshape(32, 32)
     np.testing.assert_allclose(grid, state.u)
+
+
+def _cg_operators(seed, grid=64, decades=0.5):
+    """The solver's linearized operator and Fourier preconditioner on a
+    seeded positive weight spread over 10^-decades..10^decades, as grid
+    functions, with a seeded right-hand side."""
+    torus = TorusSpec(7.0, 6.0, grid, grid)
+    h1, h2 = torus.spacing
+    rng = np.random.default_rng(seed)
+    weight = 10.0 ** rng.uniform(-decades, decades, (grid, grid))
+    denom = _fourier_symbol(torus) + float(weight.mean())
+
+    def apply_a(v):
+        return -_laplacian(v, h1, h2) + weight * v
+
+    def apply_m(v):
+        return np.fft.irfft2(np.fft.rfft2(v) / denom, s=v.shape)
+
+    return apply_a, apply_m, rng.standard_normal((grid, grid))
+
+
+@pytest.mark.parametrize("rtol,decades,capped", [
+    (1e-3, 0.5, False),
+    (1e-8, 0.5, False),
+    (1e-12, 0.5, False),
+    # a weight over twelve decades with a tolerance below round-off runs
+    # to the iteration cap
+    (1e-300, 6.0, True),
+], ids=["1e-3", "1e-8", "1e-12", "iteration-cap"])
+def test_pcg_is_bit_identical_to_reference_cg(rtol, decades, capped):
+    # the in-module recurrence against scipy.sparse.linalg.cg on the same
+    # operator: every bit of every entry agrees
+    from scipy.sparse import linalg
+    apply_a, apply_m, b = _cg_operators(seed=11, decades=decades)
+    shape, size = b.shape, b.size
+    op = linalg.LinearOperator((size, size), dtype=float,
+                               matvec=lambda v: apply_a(v.reshape(shape)).ravel())
+    pre = linalg.LinearOperator((size, size), dtype=float,
+                                matvec=lambda v: apply_m(v.reshape(shape)).ravel())
+    want, info = linalg.cg(op, b.ravel(), rtol=rtol, atol=0.0, M=pre,
+                           maxiter=CG_MAX_ITER)
+    assert info == (CG_MAX_ITER if capped else 0)
+    got = _pcg(apply_a, apply_m, b, rtol)
+    assert got.shape == shape and np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _config_files(draw):
+    """A valid problem file, its lines in random order with optional keys
+    and trailing comments, plus the VortexProblem it describes."""
+    L1, L2 = draw(st.floats(4.0, 20.0)), draw(st.floats(4.0, 20.0))
+    N1, N2 = draw(st.integers(32, 128)), draw(st.integers(32, 128))
+    torus = TorusSpec(L1, L2, N1, N2)
+    values = {"L1": L1, "L2": L2, "N1": N1, "N2": N2,
+              "e2": draw(st.floats(1e-3, 1e3)), "tau": draw(st.floats(1e-3, 1e3))}
+    kw = {}
+    if draw(st.booleans()):
+        kw["tol"] = values["tol"] = draw(st.floats(1e-14, 1e-2))
+    if draw(st.booleans()):
+        kw["max_iter"] = values["max_iter"] = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        kw["reg_width"] = values["reg_width"] = \
+            2.0 * max(torus.spacing) * draw(st.floats(1.0, 4.0))
+    lines = [("%s = %r" % kv, None) for kv in values.items()]
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))
+        m = draw(st.one_of(st.none(), st.integers(1, 3)))
+        text = "zero = %r %r" % (x, y) + ("" if m is None else " %d" % m)
+        lines.append((text, (x, y, 1 if m is None else m)))
+    lines = draw(st.permutations(lines))
+    text = "# generated\n" + "".join(
+        line + draw(st.sampled_from(["", "  # note", "   "])) + "\n" for line, _ in lines)
+    zeros = tuple(zero for _, zero in lines if zero is not None)
+    return text, VortexProblem(torus, zeros, e2=values["e2"], tau=values["tau"], **kw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_config_files())
+def test_parse_config_round_trips_valid_files(data):
+    text, want = data
+    assert parse_config(text) == want
