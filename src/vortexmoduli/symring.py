@@ -26,7 +26,10 @@ algebraic curve", Topology 1, 1962).  A monomial eta^h * xi_F * sigma_P with
 complete pairs P and lone factors F has, with k = d - h - |F| - |P|, the
 normal form sum_{Q in P, |Q| <= k} (-1)^(k-|Q|) C(|P|-1-|Q|, k-|Q|)
 eta^(h+|P|-|Q|) xi_F sigma_Q; it vanishes when k < 0.  Each monomial is
-expanded directly.
+expanded directly, as a key (h, mask) with bit i of the mask standing for
+xi_i and an integer coefficient over one common denominator; ``Monomial``
+keys and ``Fraction`` coefficients are built only where a class is made
+(``from_terms`` and ``multiply``).
 
 All coefficients are exact rationals; there is no floating point in this
 module.  Values are immutable after construction and every operation is a
@@ -38,8 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Mapping
 
 __all__ = [
@@ -96,107 +98,96 @@ class Monomial:
         return (self.degree, self.eta_power, self.xi_indices)
 
 
-def _merge_xi(s: tuple[int, ...], t: tuple[int, ...]):
-    """Merge two strictly increasing index tuples with the Koszul sign.
-
-    Returns (sign, merged) or None when an index repeats (odd square = 0).
-    The sign counts inversions between the two blocks, one per odd-odd swap.
-    """
-    if set(s) & set(t):
-        return None
-    inversions = 0
-    for a in s:
-        for b in t:
-            if a > b:
-                inversions += 1
-    merged = tuple(sorted(s + t))
-    sign = -1 if inversions % 2 else 1
-    return sign, merged
+def _encode(params: RingParams, terms: Mapping[Monomial, Fraction]):
+    """Monomial -> rational map as ((eta_power, xi_mask) -> int, den), den
+    the lcm of the denominators; rejects xi indices outside 1..2g."""
+    top = 2 * params.g
+    den = lcm(*(c.denominator for c in terms.values()))
+    keys = {}
+    for m, c in terms.items():
+        s = m.xi_indices
+        if s and (s[0] < 1 or s[-1] > top):
+            raise ValueError("xi index %d out of range 1..%d"
+                             % (s[0] if s[0] < 1 else s[-1], top))
+        keys[(m.eta_power, sum(1 << i for i in s))] = c.numerator * (den // c.denominator)
+    return keys, den
 
 
-def _mono_mul(m1: Monomial, m2: Monomial):
-    """Raw graded product of two monomials: (sign, monomial) or None."""
-    merged = _merge_xi(m1.xi_indices, m2.xi_indices)
-    if merged is None:
-        return None
-    sign, xi_all = merged
-    return sign, Monomial(m1.eta_power + m2.eta_power, xi_all)
+def _decode(keys: dict, den: int) -> dict:
+    """Inverse of _encode: Monomial -> Fraction(c, den), zero terms dropped."""
+    return {Monomial(h, tuple(i for i in range(1, mask.bit_length()) if mask >> i & 1)):
+            Fraction(c, den) for (h, mask), c in keys.items() if c}
 
 
-def _accumulate(out: dict, key, c) -> None:
-    """Add c to out[key], dropping the entry when the sum is zero."""
-    if key in out:
-        c += out[key]
-    if c:
-        out[key] = c
-    else:
-        out.pop(key, None)
+def _koszul(s: int, t: int) -> int:
+    """Sign of xi_s * xi_t against the sorted product, for disjoint masks:
+    one odd-odd swap per a in s, b in t with a > b."""
+    swaps = 0
+    while t:
+        b = t & -t
+        swaps += (s & -b).bit_count()
+        t ^= b
+    return -1 if swaps & 1 else 1
 
 
 def _raw_mul_terms(t1: dict, t2: dict) -> dict:
-    """Bilinear product of term maps, no relation reduction."""
-    out: dict[Monomial, Fraction] = {}
-    for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            prod = _mono_mul(m1, m2)
-            if prod is None:
+    """Bilinear product of key maps, no relation reduction (odd square = 0)."""
+    out: dict[tuple[int, int], int] = {}
+    for (h1, s1), c1 in t1.items():
+        for (h2, s2), c2 in t2.items():
+            if s1 & s2:
                 continue
-            sign, m = prod
-            _accumulate(out, m, sign * c1 * c2)
+            key = (h1 + h2, s1 | s2)
+            out[key] = out.get(key, 0) + _koszul(s1, s2) * c1 * c2
     return out
 
 
-def _split_pairs(xi_indices: tuple[int, ...], g: int):
-    """Split index set into (pairs P, lone lows A, lone highs B).
-
-    P, A, B are subsets of {1..g}: j is in P when both xi_j and xi_{j+g}
-    occur, in A when only xi_j does, in B when only xi_{j+g} does.
-    """
-    lows = {i for i in xi_indices if i <= g}
-    highs = {i - g for i in xi_indices if i > g}
-    pairs = lows & highs
-    return tuple(sorted(pairs)), tuple(sorted(lows - pairs)), tuple(sorted(highs - pairs))
-
-
-def _normalize_terms(params: RingParams, terms: Mapping[Monomial, Fraction]) -> dict:
-    """Reduce a term map to normal form by Macdonald's closed formula.
+def _normalize_terms(params: RingParams, terms: dict) -> dict:
+    """Reduce a key map (see _encode; the denominator is left alone) to
+    normal form by Macdonald's closed formula.
 
     Write a monomial as +/- eta^h * xi_F * sigma_P, with P its complete
-    pairs and F its lone factors, and let k = d - h - |F| - |P|.  If
-    h + |S| <= d it is already normal and is added as it is; if k < 0 (every
-    monomial above degree 2d among them) a pair-free relation instance
-    annihilates it.  Otherwise 0 <= k < |P|, and
+    pairs (bits j of s & (s >> g)) and F its lone factors, and let
+    k = d - h - |F| - |P|.  If h + |S| <= d it is already normal and is added
+    as it is; if k < 0 (every monomial above degree 2d among them) a
+    pair-free relation instance annihilates it.  Otherwise 0 <= k < |P|, and
 
         eta^h * xi_F * sigma_P  =  sum over Q in P with |Q| <= k of
             (-1)^(k-|Q|) * C(|P|-1-|Q|, k-|Q|) * eta^(h+|P|-|Q|) * xi_F * sigma_Q.
 
     The instance (r = h, I1 u I2 = F, J = P) rewrites sigma_P as
     sum_{R < P} (-1)^(|P|+|R|+1) * eta^(|P|-|R|) * sigma_R, every term with
-    the same k, so induction on |P| gives the binomial.
+    the same k, so induction on |P| gives the binomial.  Q runs over the
+    submasks of P; entries that sum to zero stay until _decode drops them.
     """
     d, g = params.d, params.g
-    result: dict[Monomial, Fraction] = {}
-    for m, c in terms.items():
-        c = Fraction(c)
+    result: dict[tuple[int, int], int] = {}
+    for (h, s), c in terms.items():
         if not c:
             continue
-        h, s = m.eta_power, m.xi_indices
-        if h + len(s) <= d:
-            _accumulate(result, m, c)
+        if h + s.bit_count() <= d:
+            result[(h, s)] = result.get((h, s), 0) + c
             continue
-        pairs = _split_pairs(s, g)[0]
-        free = tuple(i for i in s if (i if i <= g else i - g) not in pairs)
-        n = len(pairs)
-        k = d - h - len(free) - n
+        pairs = s & (s >> g)
+        free = s & ~(pairs | pairs << g)
+        n = pairs.bit_count()
+        k = d - h - free.bit_count() - n
         if k < 0:
             continue
         # xi_S = eps * xi_F * sigma_P; xi_F * sigma_Q = (-1)^(q(q-1)/2) * xi_F * xi_Q * xi_{Q+g}
-        eps = _merge_xi(free, pairs + tuple(j + g for j in pairs))[0] * (-1) ** (n * (n - 1) // 2)
-        for q in range(k + 1):
-            coeff = c * (eps * (-1) ** (k - q + q * (q - 1) // 2) * comb(n - 1 - q, k - q))
-            for sub in combinations(pairs, q):
-                sign, t = _merge_xi(free, sub + tuple(j + g for j in sub))
-                _accumulate(result, Monomial(h + n - q, t), sign * coeff)
+        c *= _koszul(free, pairs | pairs << g) * (-1) ** (n * (n - 1) // 2)
+        coeffs = [c * (-1) ** (k - q + q * (q - 1) // 2) * comb(n - 1 - q, k - q)
+                  for q in range(k + 1)]
+        sub = pairs
+        while True:
+            q = sub.bit_count()
+            if q <= k:
+                t = sub | sub << g
+                key = (h + n - q, free | t)
+                result[key] = result.get(key, 0) + _koszul(free, t) * coeffs[q]
+            if not sub:
+                break
+            sub = (sub - 1) & pairs
     return result
 
 
@@ -213,14 +204,15 @@ class CohomologyClass:
 
     @staticmethod
     def from_terms(params: RingParams, terms: Mapping[Monomial, Fraction]) -> "CohomologyClass":
-        return CohomologyClass(params, _normalize_terms(params, terms))
+        keys, den = _encode(params, terms)
+        return CohomologyClass(params, _decode(_normalize_terms(params, keys), den))
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            _accumulate(out, m, c)
-        return CohomologyClass(self.params, out)
+            out[m] = out.get(m, 0) + c
+        return CohomologyClass(self.params, {m: c for m, c in out.items() if c})
 
     def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
         return self + (-1) * other
@@ -242,6 +234,8 @@ class CohomologyClass:
         out = unit(self.params)
         for _ in range(k):
             out = multiply(out, self)
+            if out.is_zero():
+                break
         return out
 
     def __eq__(self, other) -> bool:
@@ -313,7 +307,10 @@ def sigma(params: RingParams) -> CohomologyClass:
 def multiply(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     """Graded-commutative product, brought to normal form."""
     a._check(b)
-    return CohomologyClass.from_terms(a.params, _raw_mul_terms(dict(a.terms), dict(b.terms)))
+    ta, da = _encode(a.params, a.terms)
+    tb, db = _encode(b.params, b.terms)
+    return CohomologyClass(a.params, _decode(
+        _normalize_terms(a.params, _raw_mul_terms(ta, tb)), da * db))
 
 
 def normal_form(a: CohomologyClass) -> CohomologyClass:

@@ -85,6 +85,72 @@ def test_genus0_golden_output(capsys, argv, expected):
     assert out == expected
 
 
+# normal forms that keep lone xi factors next to complete pairs, with
+# fractional coefficients, at g = 4..6, and one large-genus volume
+GOLDEN_RING = [
+    (("ring", "1/2*eta*xi[1,5,2] - 3/4*sigma*xi[3]", "--d", "5", "--g", "4"),
+     '{"integral": "0", "normal_form": "3/4*xi[1,3,5] + 3/4*xi[2,3,6]'
+     ' - 3/4*xi[3,4,8] - 1/2*eta*xi[1,2,5]"}\n'),
+    (("ring", "1/2*sigma^3*xi[4] - 2/3*eta*xi[1,5,2,6,8]", "--d", "5", "--g", "4"),
+     '{"integral": "0", "normal_form": "-3*eta^2*xi[1,4,5]'
+     ' - 2/3*eta^2*xi[1,5,8] - 3*eta^2*xi[2,4,6] - 2/3*eta^2*xi[2,6,8]'
+     ' - 3*eta^2*xi[3,4,7] - 6*eta^3*xi[4] + 2/3*eta^3*xi[8]"}\n'),
+    (("ring", "1/6*xi[1,5,2,6,3,7,4] - 3/2*eta^2*sigma^2*xi[3]", "--d", "6", "--g", "4"),
+     '{"integral": "0", "normal_form": "-1/6*eta*xi[1,2,4,5,6]'
+     ' - 1/6*eta*xi[1,3,4,5,7] - 1/6*eta*xi[2,3,4,6,7] + 1/6*eta^2*xi[1,4,5]'
+     ' + 1/6*eta^2*xi[2,4,6] + 1/6*eta^2*xi[3,4,7] + 1/6*eta^3*xi[4]'
+     ' + 6*eta^3*xi[1,3,5] + 6*eta^3*xi[2,3,6] - 6*eta^3*xi[3,4,8]'
+     ' + 9*eta^4*xi[3]"}\n'),
+    (("ring", "3/7*eta*sigma^3*xi[5] + 5/4*sigma^2*xi[1,6]", "--d", "6", "--g", "5"),
+     '{"integral": "0", "normal_form": "-5/2*xi[1,2,3,6,7,8]'
+     ' - 5/2*xi[1,2,4,6,7,9] - 5/2*xi[1,2,5,6,7,10] - 5/2*xi[1,3,4,6,8,9]'
+     ' - 5/2*xi[1,3,5,6,8,10] - 5/2*xi[1,4,5,6,9,10] - 54/7*eta^3*xi[1,5,6]'
+     ' - 54/7*eta^3*xi[2,5,7] - 54/7*eta^3*xi[3,5,8] - 54/7*eta^3*xi[4,5,9]'
+     ' - 144/7*eta^4*xi[5]"}\n'),
+    (("ring", "5/8*eta*sigma^3*xi[2,9] - 7/3*sigma*xi[1,6,3]", "--d", "7", "--g", "5"),
+     '{"integral": "0", "normal_form": "7/3*xi[1,2,3,6,7] - 7/3*xi[1,3,4,6,9]'
+     ' - 7/3*xi[1,3,5,6,10] - 15/4*eta^3*xi[1,2,6,9] + 15/4*eta^3*xi[2,3,8,9]'
+     ' - 15/4*eta^3*xi[2,5,9,10] - 15/2*eta^4*xi[2,9]"}\n'),
+    (("ring", "-2/5*sigma^4*xi[6,7] + 1/3*eta^2*sigma^2*xi[12]", "--d", "7", "--g", "6"),
+     '{"integral": "0", "normal_form": "-2/3*eta^2*xi[1,2,7,8,12]'
+     ' - 2/3*eta^2*xi[1,3,7,9,12] - 2/3*eta^2*xi[1,4,7,10,12]'
+     ' - 2/3*eta^2*xi[1,5,7,11,12] - 2/3*eta^2*xi[2,3,8,9,12]'
+     ' - 2/3*eta^2*xi[2,4,8,10,12] - 2/3*eta^2*xi[2,5,8,11,12]'
+     ' - 2/3*eta^2*xi[3,4,9,10,12] - 2/3*eta^2*xi[3,5,9,11,12]'
+     ' - 2/3*eta^2*xi[4,5,10,11,12] - 48/5*eta^3*xi[2,6,7,8]'
+     ' - 48/5*eta^3*xi[3,6,7,9] - 48/5*eta^3*xi[4,6,7,10]'
+     ' - 48/5*eta^3*xi[5,6,7,11] + 144/5*eta^4*xi[6,7]"}\n'),
+    (("ring", "-3/4*sigma^4*xi[1] + 2/9*eta^3*sigma*xi[1,7,8]", "--d", "7", "--g", "6"),
+     '{"integral": "0", "normal_form": "54*eta^2*xi[1,2,3,8,9]'
+     ' + 54*eta^2*xi[1,2,4,8,10] + 54*eta^2*xi[1,2,5,8,11]'
+     ' + 54*eta^2*xi[1,2,6,8,12] + 54*eta^2*xi[1,3,4,9,10]'
+     ' + 54*eta^2*xi[1,3,5,9,11] + 54*eta^2*xi[1,3,6,9,12]'
+     ' + 54*eta^2*xi[1,4,5,10,11] + 54*eta^2*xi[1,4,6,10,12]'
+     ' + 54*eta^2*xi[1,5,6,11,12] + 144*eta^3*xi[1,2,8] + 144*eta^3*xi[1,3,9]'
+     ' + 144*eta^3*xi[1,4,10] + 144*eta^3*xi[1,5,11] + 144*eta^3*xi[1,6,12]'
+     ' - 270*eta^4*xi[1] + 8/9*eta^4*xi[1,7,8] - 2/9*eta^4*xi[3,8,9]'
+     ' - 2/9*eta^4*xi[4,8,10] - 2/9*eta^4*xi[5,8,11] - 2/9*eta^4*xi[6,8,12]'
+     ' - 8/9*eta^5*xi[8]"}\n'),
+    (("kahler", "--d", "9", "--g", "6", "--elldelta", "20"),
+     '{"C_eta": "6", "C_sigma": "1", "d0": 540, "d1": 432, "volume": "26172/7"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN_RING,
+                         ids=["ring-%d" % i for i in range(7)] + ["kahler-9-6-20"])
+def test_ring_golden_output(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
+def test_ring_huge_power_of_nilpotent_class(capsys):
+    # eta^3 = 0 at d = 2, so the power stops after a few products
+    code, out, _ = run_cli(capsys, "ring", "eta^1000000000", "--d", "2", "--g", "1")
+    assert code == 0
+    assert json.loads(out) == {"integral": "0", "normal_form": "0"}
+
+
 def test_kahler_subcommand(capsys):
     code, out, _ = run_cli(capsys, "kahler", "--d", "2", "--g", "2",
                            "--elldelta", "5")

@@ -7,13 +7,14 @@ from typing import Mapping
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import vortexmoduli.symring as symring
 from vortexmoduli.symring import (
     CohomologyClass,
     Monomial,
     RingParams,
-    _normalize_terms,
+    _decode,
+    _encode,
     _raw_mul_terms,
-    _split_pairs,
     eta,
     format_class,
     integrate,
@@ -58,6 +59,29 @@ def test_generators_basic():
         sigma_j(RingParams(2, 1), 2)
     with pytest.raises(ValueError):
         xi(RingParams(2, 0), 1)
+
+
+@pytest.mark.parametrize("params,xi_indices", [
+    (RingParams(2, 0), (1,)),
+    (RingParams(2, 2), (0, 1)),
+    (RingParams(2, 2), (1, 3, 5)),
+])
+def test_from_terms_rejects_xi_index_out_of_range(params, xi_indices):
+    with pytest.raises(ValueError, match="out of range"):
+        CohomologyClass.from_terms(params, {Monomial(0, xi_indices): 1})
+
+
+def test_power_stops_once_zero(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return multiply(a, b)
+
+    monkeypatch.setattr(symring, "multiply", counting)
+    p = RingParams(2, 1)
+    assert (eta(p) ** 50).is_zero()
+    assert len(calls) <= p.d + 2
 
 
 def test_odd_square_vanishes():
@@ -291,7 +315,7 @@ def test_integrate_linear(data):
 
 
 def _worklist_normalize_terms(params: RingParams, terms: Mapping[Monomial, Fraction]) -> dict:
-    """Reference: the worklist reduction that the memoized one replaced.
+    """Reference: the worklist reduction that the closed formula replaced.
 
     Worklist reduction: monomials of cohomological degree above 2d drop out;
     monomials with h + |A| + |B| + |P| > d are annihilated outright by a
@@ -309,7 +333,10 @@ def _worklist_normalize_terms(params: RingParams, terms: Mapping[Monomial, Fract
             continue
         if m.degree > 2 * d:
             continue
-        pairs, lows, highs = _split_pairs(m.xi_indices, g)
+        lows = {i for i in m.xi_indices if i <= g}
+        highs = {i - g for i in m.xi_indices if i > g}
+        pairs = tuple(sorted(lows & highs))
+        lows, highs = tuple(sorted(lows - highs)), tuple(sorted(highs - lows))
         if m.eta_power + len(lows) + len(highs) + len(pairs) > d:
             continue
         if m.eta_power + len(m.xi_indices) <= d:
@@ -321,13 +348,14 @@ def _worklist_normalize_terms(params: RingParams, terms: Mapping[Monomial, Fract
             continue
         # Build the relation instance whose sigma-complete term is +/- m.
         free = tuple(sorted(lows + tuple(b + g for b in highs)))
-        rel = {Monomial(m.eta_power, free): Fraction(1)}
+        rel, den = _encode(params, {Monomial(m.eta_power, free): Fraction(1)})
         for j in pairs:
-            binom = {
+            binom, _ = _encode(params, {
                 Monomial(1, ()): Fraction(1),
                 Monomial(0, (j, j + g)): Fraction(-1),
-            }
+            })
             rel = _raw_mul_terms(rel, binom)
+        rel = _decode(rel, den)
         rho = rel.pop(m)
         scale = -c / rho
         for mm, cc in rel.items():
@@ -369,7 +397,7 @@ def _term_maps(draw):
     Monomial(4, ()): Fraction(1), Monomial(2, (2,)): Fraction(5)}))
 def test_normal_form_matches_worklist_reference(data):
     params, terms = data
-    got = _normalize_terms(params, terms)
+    got = CohomologyClass.from_terms(params, terms).terms
     want = _worklist_normalize_terms(params, terms)
     assert got == want
     assert all(type(c) is Fraction for c in got.values())
@@ -393,7 +421,7 @@ def test_normal_form_matches_worklist_reference_with_many_pairs():
         c = Fraction(2 * rng.randint(-5, 4) + 1, 2 * rng.randint(1, 4))
         terms = {Monomial(h, s): c}
         want = _worklist_normalize_terms(params, terms)
-        assert _normalize_terms(params, terms) == want, (params, terms)
+        assert CohomologyClass.from_terms(params, terms).terms == want, (params, terms)
         expanded += h + len(s) > d and bool(want)
     assert expanded >= 150
 
