@@ -5,11 +5,13 @@ A moduli point is an n-tuple pair: a split bundle E = O(d_1) + ... + O(d_r)
 together with a matrix of binary forms realizing the section map O^n -> E.
 Twisting the dual inclusion by O(delta) embeds the section space of the
 twisted dual as a subspace of n copies of the degree-delta forms; its
-Plucker coordinates are the maximal minors of any basis matrix.  The inverse
-direction recovers the section matrix from the subspace (componentwise gcds
-for rank one).  Sweeps measure the degrees of the two standard curves inside
-the symmetric power: each curve is a map P^1 -> P^N whose coordinates are
-binary forms in a parameter (t:s), and its degree is their common degree
+Plucker coordinates are the maximal minors of any basis matrix, built by a
+forward expansion down its rows.  The inverse direction recovers the section
+matrix from the subspace (componentwise gcds for rank one); form gcds and
+quotients are read in the chart x = 1, where the coefficients are already
+ascending in y/x.  Sweeps measure the degrees of the two standard curves
+inside the symmetric power: each curve is a map P^1 -> P^N whose coordinates
+are binary forms in a parameter (t:s), and its degree is their common degree
 once their common factor (the base locus) is divided out.
 
 Everything here is pure and exact: Fractions for numbers, one binary form
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Optional, Sequence
 
 from .moduli_numerics import ParameterError
@@ -43,9 +45,6 @@ __all__ = [
     "smallest_working_delta",
     "divisor_form",
 ]
-
-DELTA_MAX = 64  # largest twist smallest_working_delta tries
-
 
 class DeltaTooSmallError(ValueError):
     """The twist is below the effective threshold for this pair."""
@@ -130,10 +129,6 @@ class BinaryForm:
                 return i
         return self.degree + 1
 
-    def dehomogenized(self) -> tuple:
-        """Coefficients of f(u, 1) ascending in u, trailing zeros stripped."""
-        return _strip(tuple(reversed(self.coefficients)))
-
     def monic(self) -> "BinaryForm":
         """Scale so the first nonzero coefficient is 1."""
         for c in self.coefficients:
@@ -180,20 +175,9 @@ def _poly_divmod(a: tuple, b: tuple):
     return tuple(quo), _strip(tuple(rem))
 
 
-def _poly_gcd(a: tuple, b: tuple) -> tuple:
-    a, b = _strip(a), _strip(b)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        inv = 1 / a[-1]
-        a = tuple(c * inv for c in a)
-    return a
-
-
-def _rehomogenize(u_coeffs: tuple, y_val: int) -> BinaryForm:
-    m = len(u_coeffs) - 1
-    coeffs = (Fraction(0),) * y_val + tuple(reversed(u_coeffs))
-    return BinaryForm(m + y_val, coeffs)
+def _times_x_power(v_coeffs: tuple, x_val: int) -> BinaryForm:
+    """x^x_val times the form whose chart x = 1 polynomial is v_coeffs."""
+    return BinaryForm(len(v_coeffs) - 1 + x_val, v_coeffs + (Fraction(0),) * x_val)
 
 
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -202,9 +186,11 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         return g.monic()
     if not g:
         return f.monic()
-    yv = min(f.y_valuation(), g.y_valuation())
-    common = _poly_gcd(f.dehomogenized(), g.dehomogenized())
-    return _rehomogenize(common, yv).monic()
+    a, b = _strip(f.coefficients), _strip(g.coefficients)
+    xv = min(f.degree + 1 - len(a), g.degree + 1 - len(b))
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return _times_x_power(a, xv).monic()
 
 
 def form_div_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -213,13 +199,14 @@ def form_div_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         raise ZeroDivisionError("division by the zero form")
     if not f:
         return BinaryForm.zero(f.degree - g.degree)
-    yv_f, yv_g = f.y_valuation(), g.y_valuation()
-    if yv_f < yv_g:
+    a, b = _strip(f.coefficients), _strip(g.coefficients)
+    xv = (f.degree + 1 - len(a)) - (g.degree + 1 - len(b))
+    if xv < 0:
         raise ReconstructionError("form division is not exact")
-    quo, rem = _poly_divmod(f.dehomogenized(), g.dehomogenized())
+    quo, rem = _poly_divmod(a, b)
     if rem:
         raise ReconstructionError("form division is not exact")
-    return _rehomogenize(quo, yv_f - yv_g)
+    return _times_x_power(quo, xv)
 
 
 def divisor_form(points: Sequence[tuple], multiplicities: Sequence[int]) -> BinaryForm:
@@ -347,45 +334,27 @@ def _rref(rows) -> list:
 def _maximal_minors(rows) -> list:
     """All k x k minors of a k x N matrix, columns in lexicographic order.
 
-    Entries need +, * and scalar *; a vanishing minor is the product of one
-    entry per row times 0, so zero forms carry the minor's degree.
+    ``level`` maps a column bitmask to the minor of the rows so far on those
+    columns; row i extends it by a column c outside the mask with sign
+    (-1)^(mask bits above c).  Entries need +, * and negation; a vanishing
+    minor is 0 times one entry per row, so zero forms carry the minor's degree.
     """
-    k, ncols = len(rows), len(rows[0])
-    memo = {}
-
-    def minor(i, cols):
-        if i == k:
-            return None  # empty product, handled by caller
-        key = (i, cols)
-        if key in memo:
-            return memo[key]
-        total = None
-        for idx, c in enumerate(cols):
-            entry = rows[i][c]
-            if not entry:
-                continue
-            rest = cols[:idx] + cols[idx + 1:]
-            if rest:
-                sub = minor(i + 1, rest)
-                term = None if sub is None else entry * sub
-            else:
-                term = entry
-            if term is None:
-                continue
-            if idx % 2:
-                term = -1 * term
-            total = term if total is None else total + term
-        memo[key] = total
-        return total
-
-    out = []
-    zero = rows[0][0] * 0
+    level = {1 << c: entry for c, entry in enumerate(rows[0]) if entry}
     for row in rows[1:]:
-        zero = zero * row[0]
-    for cols in itertools.combinations(range(ncols), k):
-        val = minor(0, cols)
-        out.append(zero if val is None else val)
-    return out
+        entries = [(c, entry, -entry) for c, entry in enumerate(row) if entry]
+        extended = {}
+        for mask, minor in level.items():
+            for c, entry, negated in entries:
+                bit = 1 << c
+                if mask & bit:
+                    continue
+                term = (negated if (mask >> c).bit_count() & 1 else entry) * minor
+                key = mask | bit
+                extended[key] = extended[key] + term if key in extended else term
+        level = extended
+    zero = prod((row[0] for row in rows), start=0)
+    return [level.get(sum(1 << c for c in cols), zero)
+            for cols in itertools.combinations(range(len(rows[0])), len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -491,17 +460,16 @@ def reconstruct(basis: SubspaceBasis, n: int, delta: int) -> BinaryFormPair:
 
 
 def smallest_working_delta(pair: BinaryFormPair) -> int:
-    """Least twist up to DELTA_MAX at which the embedding has the expected dimension.
+    """Least twist at which the embedding has the expected dimension.
 
-    RankDeficientError propagates: no twist fixes a bad pair.
+    That is max(1, d_1, ..., d_r): below it some psi_i has negative degree,
+    and from it on psi -> psi * fs_matrix is injective, as rows independent
+    over the function field satisfy no polynomial relation.  Dependent rows
+    raise RankDeficientError: no twist fixes such a pair.
     """
-    for delta in range(1, DELTA_MAX + 1):
-        try:
-            embed_pair(pair, delta)
-            return delta
-        except (DeltaTooSmallError, ParameterError):
-            continue
-    raise DeltaTooSmallError("no working delta up to %d" % DELTA_MAX)
+    if pair.generic_rank() != pair.r:
+        raise RankDeficientError("pair violates the generic rank invariant")
+    return max(1, *pair.row_degrees())
 
 
 # ---------------------------------------------------------------------------

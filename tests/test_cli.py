@@ -74,11 +74,34 @@ GOLDEN_GENUS0 = [
      '["0", "0", "1", "0", "-1"]], "d": 2, "delta": 4, "plucker": ["1", "0", '
      '"-1", "1", "0", "1", "0", "-1", "0", "-1"], "reconstructed": "x^2 + -y^2", '
      '"smallest_delta": 2, "subspace_dim": 3}\n'),
+    # forms divisible by a power of y, of x, and by both
+    (("genus0", "--s", "0,0,1"),
+     '{"basis": [["0", "0", "1", "0", "0"], ["0", "0", "0", "1", "0"], '
+     '["0", "0", "0", "0", "1"]], "d": 2, "delta": 4, "plucker": ["0", "0", '
+     '"0", "0", "0", "0", "0", "0", "0", "1"], "reconstructed": "y^2", '
+     '"smallest_delta": 2, "subspace_dim": 3}\n'),
+    (("genus0", "--s", "1,0,0"),
+     '{"basis": [["1", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"], '
+     '["0", "0", "1", "0", "0"]], "d": 2, "delta": 4, "plucker": ["1", "0", '
+     '"0", "0", "0", "0", "0", "0", "0", "0"], "reconstructed": "x^2", '
+     '"smallest_delta": 2, "subspace_dim": 3}\n'),
+    (("genus0", "--s", "0,1,-1,0"),
+     '{"basis": [["0", "1", "0", "0", "-1", "0"], ["0", "0", "1", "0", "-1", "0"], '
+     '["0", "0", "0", "1", "-1", "0"]], "d": 3, "delta": 5, "plucker": ["0", "0", '
+     '"0", "0", "0", "0", "0", "0", "0", "0", "1", "-1", "0", "1", "0", "0", "-1", '
+     '"0", "0", "0"], "reconstructed": "x^2*y + -x*y^2", "smallest_delta": 3, '
+     '"subspace_dim": 3}\n'),
+    (("genus0", "--family", "d1", "--d", "4", "--delta", "7"),
+     '{"coordinate_t_degrees": [0, 1, 2, 3, 3, 2, 3, 4, 4, 4, 5, 5, 6, 6, 6, 3, 4, '
+     '5, 5, 5, 6, 6, 7, 7, 7, 6, 7, 7, 8, 8, 8, 9, 9, 9, 9, 4, 5, 6, 6, 6, 7, 7, 8, '
+     '8, 8, 7, 8, 8, 9, 9, 9, 10, 10, 10, 10, 8, 9, 9, 10, 10, 10, 11, 11, 11, 11, '
+     '12, 12, 12, 12, 12], "curve_degree": 12, "d": 4, "delta": 7, "family": "d1"}\n'),
 ]
 
 
 @pytest.mark.parametrize("argv,expected", GOLDEN_GENUS0,
-                         ids=["d0-2-3", "d1-3-5", "s-1,0,-1"])
+                         ids=["d0-2-3", "d1-3-5", "s-1,0,-1", "s-0,0,1", "s-1,0,0",
+                              "s-0,1,-1,0", "d1-4-7"])
 def test_genus0_golden_output(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -227,6 +250,16 @@ def test_genus0_subcommand(capsys):
     assert code == 2  # missing --d
     code, _, _ = run_cli(capsys, "genus0")
     assert code == 2  # neither mode selected
+
+
+def test_genus0_working_twist_above_64(capsys):
+    # x^65 - y^65: the least working twist is its degree, however large
+    s = ",".join(["1"] + ["0"] * 64 + ["-1"])
+    code, out, err = run_cli(capsys, "genus0", "--s", s)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["smallest_delta"] == 65
+    assert payload["reconstructed"] == "x^65 + -y^65"
 
 
 def test_validation_exit_code(capsys):

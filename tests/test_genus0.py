@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from vortexmoduli.genus0 import (
     RankDeficientError,
     ReconstructionError,
     SubspaceBasis,
+    _maximal_minors,
     curve_degree,
     divisor_form,
     embed_pair,
@@ -50,6 +52,9 @@ def test_form_gcd_and_division():
     assert form_div_exact(f, form(1, 0)) == form(1, 0) * form(0, 1) * form(1, -1)
     with pytest.raises(ReconstructionError):
         form_div_exact(f, form(1, 1))
+    for num, den in ((form(0, 1), form(1, 0)), (form(1, 0), form(0, 1))):  # y/x, x/y
+        with pytest.raises(ReconstructionError):
+            form_div_exact(num, den)
     # gcd with the zero form is the other argument, made monic
     assert form_gcd(BinaryForm.zero(2), f) == f.monic()
 
@@ -178,6 +183,110 @@ def test_reconstruct_higher_rank_unimplemented():
 def test_smallest_working_delta():
     pair = BinaryFormPair.from_section([form(1, 0, 0, 0, 0)])
     assert smallest_working_delta(pair) == 4
+    # x^65 - y^65: no search bound caps the answer
+    pair = BinaryFormPair.from_section([form(1, *[0] * 64, -1)])
+    assert smallest_working_delta(pair) == 65
+
+
+def _smallest_working_delta_by_search(pair):
+    """The definition: the least delta >= 1 at which embed_pair raises
+    neither DeltaTooSmallError nor ParameterError."""
+    for delta in range(1, 65):
+        try:
+            embed_pair(pair, delta)
+            return delta
+        except (DeltaTooSmallError, ParameterError):
+            continue
+    raise AssertionError("no working delta up to 64")
+
+
+def _random_form(rng, degree):
+    return BinaryForm(degree, tuple(F(rng.choice((0, 0, 0, 1, -1, 2, -3)),
+                                      rng.randint(1, 2)) for _ in range(degree + 1)))
+
+
+def _random_pair(rng):
+    """r <= n <= 3 with independent row degrees <= 4; some pairs with r > 1
+    get a row that is a polynomial multiple of another row."""
+    n = rng.randint(1, 3)
+    r = rng.randint(1, n)
+    degrees = [rng.randint(0, 4) for _ in range(r)]
+    rows = [[_random_form(rng, dg) for _ in range(n)] for dg in degrees]
+    if r > 1 and rng.random() < 0.35:
+        i, j = rng.sample(range(r), 2)
+        h = _random_form(rng, rng.randint(0, 4 - degrees[j]))
+        rows[i] = [h * f for f in rows[j]]
+        degrees[i] = rows[i][0].degree
+    return BinaryFormPair(n, r, sum(degrees), rows)
+
+
+def test_smallest_working_delta_matches_search():
+    rng = random.Random(20260818)
+    deficient = 0
+    for _ in range(320):
+        pair = _random_pair(rng)
+        if pair.generic_rank() < pair.r:
+            deficient += 1
+            with pytest.raises(RankDeficientError):
+                _smallest_working_delta_by_search(pair)
+            with pytest.raises(RankDeficientError):
+                smallest_working_delta(pair)
+        else:
+            expected = _smallest_working_delta_by_search(pair)
+            assert smallest_working_delta(pair) == expected
+    assert 40 <= deficient <= 280
+
+
+def _leibniz_det(m):
+    terms = []
+    k = len(m)
+    for perm in itertools.permutations(range(k)):
+        term = m[0][perm[0]]
+        for i in range(1, k):
+            term = term * m[i][perm[i]]
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(k), 2))
+        terms.append(-term if inversions % 2 else term)
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _assert_minors_match_leibniz(rows):
+    minors = _maximal_minors(rows)
+    cols = list(itertools.combinations(range(len(rows[0])), len(rows)))
+    assert len(minors) == len(cols)
+    for minor, cs in zip(minors, cols):
+        assert minor == _leibniz_det([[row[c] for c in cs] for row in rows])
+    return minors
+
+
+def test_maximal_minors_match_leibniz_on_fractions():
+    rng = random.Random(31)
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        ncols = rng.randint(k, 7)
+        rows = [[F(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 3))
+                 for _ in range(ncols)] for _ in range(k)]
+        for c in range(ncols):
+            if rng.random() < 0.15:   # a zero column
+                for row in rows:
+                    row[c] = F(0)
+        _assert_minors_match_leibniz(rows)
+
+
+def test_maximal_minors_match_leibniz_on_forms():
+    # unequal row degrees and zero entries; every minor, vanishing or not,
+    # has degree equal to the sum of the row degrees
+    rng = random.Random(32)
+    for _ in range(60):
+        k = rng.randint(1, 3)
+        ncols = rng.randint(k, 5)
+        degrees = [rng.randint(0, 3) for _ in range(k)]
+        rows = [[_random_form(rng, dg) if rng.random() < 0.6 else BinaryForm.zero(dg)
+                 for _ in range(ncols)] for dg in degrees]
+        minors = _assert_minors_match_leibniz(rows)
+        assert {m.degree for m in minors} == {sum(degrees)}
 
 
 def test_curve_degree_values():
