@@ -6,13 +6,14 @@ together with a matrix of binary forms realizing the section map O^n -> E.
 Twisting the dual inclusion by O(delta) embeds the section space of the
 twisted dual as a subspace of n copies of the degree-delta forms; its
 Plucker coordinates are the maximal minors of any basis matrix, built by a
-forward expansion down its rows.  The inverse direction recovers the section
-matrix from the subspace (componentwise gcds for rank one); form gcds and
-quotients are read in the chart x = 1, where the coefficients are already
-ascending in y/x.  Sweeps measure the degrees of the two standard curves
-inside the symmetric power: each curve is a map P^1 -> P^N whose coordinates
-are binary forms in a parameter (t:s), and its degree is their common degree
-once their common factor (the base locus) is divided out.
+forward expansion down its rows.  The inverse direction reads the section
+(rank one) off the last row of the reduced echelon basis, which is y^e times
+it.  Sweeps measure the degrees of the two standard curves inside the
+symmetric power: each is a map P^1 -> P^N whose coordinates are binary forms
+in a parameter (t:s), and its degree is their common degree.  Their base
+locus is empty (the first and last nonzero coordinates are powers of s and
+of t), which the sweep checks with form gcds read in the chart x = 1, where
+coefficients ascend in y/x.
 
 Everything here is pure and exact: Fractions for numbers, one binary form
 type for every polynomial, one minor routine, no floating point.
@@ -159,29 +160,21 @@ def _strip(coeffs: tuple) -> tuple:
     return coeffs[:end]
 
 
-def _poly_divmod(a: tuple, b: tuple):
-    """divmod of ascending-coefficient rational polynomials."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _poly_rem(a: tuple, b: tuple) -> tuple:
+    """Remainder of ascending-coefficient rational polynomials (b nonzero)."""
     rem = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     inv = 1 / b[-1]
     for shift in range(len(a) - len(b), -1, -1):
         c = rem[shift + len(b) - 1] * inv
         if c:
-            quo[shift] = c
             for i, bc in enumerate(b):
                 rem[shift + i] -= c * bc
-    return tuple(quo), _strip(tuple(rem))
-
-
-def _times_x_power(v_coeffs: tuple, x_val: int) -> BinaryForm:
-    """x^x_val times the form whose chart x = 1 polynomial is v_coeffs."""
-    return BinaryForm(len(v_coeffs) - 1 + x_val, v_coeffs + (Fraction(0),) * x_val)
+    return _strip(tuple(rem))
 
 
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Monic gcd of two binary forms (the zero form acts as an identity)."""
+    """Monic gcd of two binary forms (the zero form acts as an identity);
+    Euclid in the chart x = 1, the common power of x padded back as zeros."""
     if not f:
         return g.monic()
     if not g:
@@ -189,24 +182,8 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     a, b = _strip(f.coefficients), _strip(g.coefficients)
     xv = min(f.degree + 1 - len(a), g.degree + 1 - len(b))
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return _times_x_power(a, xv).monic()
-
-
-def form_div_exact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Exact quotient f/g; raises ReconstructionError if division leaves a rest."""
-    if not g:
-        raise ZeroDivisionError("division by the zero form")
-    if not f:
-        return BinaryForm.zero(f.degree - g.degree)
-    a, b = _strip(f.coefficients), _strip(g.coefficients)
-    xv = (f.degree + 1 - len(a)) - (g.degree + 1 - len(b))
-    if xv < 0:
-        raise ReconstructionError("form division is not exact")
-    quo, rem = _poly_divmod(a, b)
-    if rem:
-        raise ReconstructionError("form division is not exact")
-    return _times_x_power(quo, xv)
+        a, b = b, _poly_rem(a, b)
+    return BinaryForm(len(a) - 1 + xv, a + (Fraction(0),) * xv).monic()
 
 
 def divisor_form(points: Sequence[tuple], multiplicities: Sequence[int]) -> BinaryForm:
@@ -415,11 +392,12 @@ def projective_normalize(coords: Sequence[Fraction]) -> tuple:
 def reconstruct(basis: SubspaceBasis, n: int, delta: int) -> BinaryFormPair:
     """Recover the pair whose image under ``embed_pair`` is the subspace.
 
-    Rank one only: the section tuple is read off from componentwise form
-    gcds, then cross-scaled through one exact division so all components
-    share a single scalar.  The result is canonically scaled, and verified
-    by re-embedding.  Higher rank would need a saturation algorithm and is
-    intentionally not provided: a larger subspace raises ReconstructionError.
+    Rank one only.  The subspace of a section s of degree d is {psi * s :
+    deg psi = e = delta - d}; its one vector (up to scale) whose leading entry
+    lies furthest right is y^e * s, the last row of the reduced echelon basis,
+    so s is that row with the first e coefficients of each component dropped.
+    The result is canonically scaled and verified by re-embedding.  Higher
+    rank (a larger subspace) raises ReconstructionError.
     """
     if n != basis.n or delta != basis.delta:
         raise ParameterError("n/delta inconsistent with the basis")
@@ -429,30 +407,12 @@ def reconstruct(basis: SubspaceBasis, n: int, delta: int) -> BinaryFormPair:
     d = (delta + 1) - k
     if d < 0:
         raise ReconstructionError("subspace too large for a rank-1 pair")
-    vectors = [basis.component_forms(i) for i in range(k)]
-    gcds = []
-    for j in range(n):
-        g: Optional[BinaryForm] = None
-        for vec in vectors:
-            if vec[j]:
-                g = vec[j] if g is None else form_gcd(g, vec[j])
-        gcds.append(g)
-    pivot = next((j for j, g in enumerate(gcds) if g is not None), None)
-    if pivot is None:
-        raise ReconstructionError("zero subspace")
-    s_pivot = gcds[pivot]
-    if s_pivot.degree != d:
+    e = delta - d
+    last = basis.component_forms(k - 1)
+    if any(any(f.coefficients[:e]) for f in last):
         raise ReconstructionError("basis not saturating to a rank-1 subsheaf")
-    ref = next(vec for vec in vectors if vec[pivot])
-    sections = []
-    for j in range(n):
-        if j == pivot:
-            sections.append(s_pivot)
-        elif gcds[j] is None:
-            sections.append(BinaryForm.zero(d))
-        else:
-            sections.append(form_div_exact(s_pivot * ref[j], ref[pivot]))
-    pair = BinaryFormPair.from_section(sections).canonical()
+    pair = BinaryFormPair.from_section(
+        [BinaryForm(d, f.coefficients[e:]) for f in last]).canonical()
     check = embed_pair(pair, delta)
     if check.basis != basis.basis:
         raise ReconstructionError("basis not saturating to a rank-1 subsheaf")
@@ -501,9 +461,13 @@ def _sweep_section(family: str, d: int, p: Fraction) -> list:
 
 def plucker_sweep(family: str, d: int, delta: int, p=Fraction(2)) -> tuple:
     """Plucker coordinates of the swept curve P^1 -> P^N as binary forms in
-    (t:s), with their common factor (the base locus) divided out.
+    (t:s); every coordinate, zero or not, has the same degree: the curve degree.
 
-    Every coordinate, zero or not, has the same degree: the curve degree.
+    The base locus is empty, and ParameterError says if it is not.  The rows
+    shift the section's coefficient vector, whose x^d entry is a power of s
+    and whose last nonzero entry a constant times a power of t.  By
+    triangular blocks, so are the first and last nonzero minors: the gcd of
+    all coordinates, folded from the last, has degree 0 after one step.
     """
     if delta < d:
         raise DeltaTooSmallError("delta too small for this pair")
@@ -515,12 +479,12 @@ def plucker_sweep(family: str, d: int, delta: int, p=Fraction(2)) -> tuple:
     nonzero = [m for m in minors if m]
     if not nonzero:
         raise ParameterError("degenerate sweep: all coordinates vanish")
-    common = nonzero[0]
-    for m in nonzero[1:]:
+    common = nonzero[-1]
+    for m in nonzero:
         common = form_gcd(common, m)
         if common.degree == 0:
             return tuple(minors)
-    return tuple(form_div_exact(m, common) for m in minors)
+    raise ParameterError("sweep coordinates share a base locus")
 
 
 def t_degree(coord: BinaryForm) -> Optional[int]:
@@ -531,6 +495,6 @@ def t_degree(coord: BinaryForm) -> Optional[int]:
 
 def curve_degree(family: str, d: int, delta: int, p=Fraction(2)) -> int:
     """Degree of the swept curve: the common degree of its Plucker
-    coordinates once the base locus is removed."""
+    coordinates, which have no base locus."""
     coords = plucker_sweep(family, d, delta, p)
     return max(m.degree for m in coords if m)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from vortexmoduli import genus0
 from vortexmoduli.genus0 import (
     BinaryForm,
     BinaryFormPair,
@@ -12,10 +13,10 @@ from vortexmoduli.genus0 import (
     ReconstructionError,
     SubspaceBasis,
     _maximal_minors,
+    _rref,
     curve_degree,
     divisor_form,
     embed_pair,
-    form_div_exact,
     form_gcd,
     plucker,
     plucker_sweep,
@@ -49,12 +50,6 @@ def test_form_gcd_and_division():
     g = form(1, 0) * form(0, 1) * form(0, 1)                 # x y^2
     got = form_gcd(f, g)
     assert got == (form(1, 0) * form(0, 1)).monic()
-    assert form_div_exact(f, form(1, 0)) == form(1, 0) * form(0, 1) * form(1, -1)
-    with pytest.raises(ReconstructionError):
-        form_div_exact(f, form(1, 1))
-    for num, den in ((form(0, 1), form(1, 0)), (form(1, 0), form(0, 1))):  # y/x, x/y
-        with pytest.raises(ReconstructionError):
-            form_div_exact(num, den)
     # gcd with the zero form is the other argument, made monic
     assert form_gcd(BinaryForm.zero(2), f) == f.monic()
 
@@ -140,6 +135,11 @@ def test_reconstruct_round_trip_examples():
     assert rec == pair.canonical()
     mono = BinaryFormPair.from_section([form(1, 0, 0, 0)])
     assert reconstruct(embed_pair(mono, 3), 1, 3) == mono.canonical()
+    # y^d and x^a y^b put the last echelon row at extreme valuations
+    for s in (form(0, 0, 0, 5), form(0, 1, 0, 0), form(0, 0, -2, 0, 0)):
+        pair = BinaryFormPair.from_section([s])
+        for delta in range(s.degree, s.degree + 3):
+            assert reconstruct(embed_pair(pair, delta), 1, delta) == pair.canonical()
 
 
 def test_reconstruct_multi_component():
@@ -152,6 +152,14 @@ def test_reconstruct_multi_component():
     pair = BinaryFormPair.from_section([form(1, 2, 1), BinaryForm.zero(2)])
     rec = reconstruct(embed_pair(pair, 4), 2, 4)
     assert rec == pair.canonical()
+    # a zero first component, y^d and x^a y^b components
+    for sections in ([BinaryForm.zero(2), form(1, -1, 3)],
+                     [BinaryForm.zero(3), BinaryForm.zero(3), form(0, 0, 0, 1)],
+                     [form(0, 0, 1), form(0, 1, 0)],
+                     [form(0, 0, 0, 2), form(0, 1, 0, 0), form(1, 0, 0, 0)]):
+        pair = BinaryFormPair.from_section(sections)
+        for delta in range(pair.d, pair.d + 3):
+            assert reconstruct(embed_pair(pair, delta), pair.n, delta) == pair.canonical()
 
 
 def test_reconstruct_random_round_trips():
@@ -164,6 +172,43 @@ def test_reconstruct_random_round_trips():
         pair = BinaryFormPair.from_section([BinaryForm(d, tuple(coeffs))])
         rec = reconstruct(embed_pair(pair, d + 2), 1, d + 2)
         assert rec == pair.canonical()
+
+
+def test_reconstruct_random_subspaces():
+    # every subspace either fails to reconstruct or reconstructs to a pair
+    # whose embedding reproduces it; echelon bases of sparse random vectors,
+    # of valid embeddings with one entry changed, and raw bases all occur
+    rng = random.Random(909)
+    outcomes = {"valid": 0, "invalid": 0}
+    for trial in range(400):
+        n, delta = rng.randint(1, 3), rng.randint(1, 4)
+        width = n * (delta + 1)
+        k = rng.randint(1, min(delta + 2, width))
+        if trial % 3 == 0:
+            d = rng.randint(0, delta)
+            pair = BinaryFormPair.from_section(
+                [_random_form(rng, d) for _ in range(n)])
+            if not any(pair.fs_matrix[0]):
+                continue
+            rows = [list(r) for r in embed_pair(pair, delta).basis]
+            if rng.random() < 0.5:
+                rows[rng.randrange(len(rows))][rng.randrange(width)] += 1
+        else:
+            rows = [[F(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(width)]
+                    for _ in range(k)]
+        if trial % 3 != 2:
+            rows = _rref(rows)
+        if not rows or len(_rref(rows)) != len(rows):
+            continue
+        basis = SubspaceBasis(width, tuple(map(tuple, rows)), n, delta)
+        try:
+            pair = reconstruct(basis, n, delta)
+        except ReconstructionError:
+            outcomes["invalid"] += 1
+            continue
+        assert embed_pair(pair, delta) == basis
+        outcomes["valid"] += 1
+    assert outcomes["valid"] >= 40 and outcomes["invalid"] >= 100
 
 
 def test_reconstruct_rejects_bad_subspace():
@@ -309,13 +354,37 @@ def test_curve_degree_validation():
         curve_degree("d0", 3, 2)
 
 
-def test_sweep_coordinates_have_no_common_factor():
-    coords = plucker_sweep("d1", 3, 5)
+_SWEEP_CASES = [(family, d, delta, p)
+                for family in ("d0", "d1")
+                for d in range(1 if family == "d0" else 2, 5)
+                for delta in range(d, 9)
+                for p in (F(0), F(2), F(-3), F(1, 2))]
+
+
+@pytest.mark.parametrize("family,d,delta,p", _SWEEP_CASES,
+                         ids=["%s-%d-%d-p%s" % case for case in _SWEEP_CASES])
+def test_sweep_coordinates_have_no_common_factor(family, d, delta, p):
+    coords = plucker_sweep(family, d, delta, p)
     nonzero = [c for c in coords if c]
+    # the gcd of every nonzero coordinate, folded in lexicographic order
     g = nonzero[0]
     for c in nonzero[1:]:
         g = form_gcd(g, c)
     assert g.degree == 0
+    # the first and last nonzero coordinates alone are already coprime
+    assert form_gcd(nonzero[0], nonzero[-1]).degree == 0
+
+
+def test_sweep_with_a_base_locus_raises(monkeypatch):
+    # a common factor (t - s) in every section coefficient is a base point
+    # at t = s, which the sweep must report, not return coordinates with it
+    section = genus0._sweep_section
+    t_minus_s = form(1, -1)
+    monkeypatch.setattr(genus0, "_sweep_section", lambda family, d, p: [
+        c * t_minus_s for c in section(family, d, p)])
+    for family, d, delta in (("d0", 1, 1), ("d0", 2, 4), ("d1", 3, 5)):
+        with pytest.raises(ParameterError):
+            plucker_sweep(family, d, delta)
 
 
 def test_sweep_coordinates_share_one_degree_even_when_vanishing():
