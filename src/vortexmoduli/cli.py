@@ -58,7 +58,7 @@ def cmd_ring(args) -> dict:
         integral = symring.integrate(cls)
     return {
         "normal_form": symring.format_class(cls),
-        "integral": symring.format_fraction(integral),
+        "integral": integral,
     }
 
 
@@ -153,8 +153,8 @@ def cmd_genus0(args) -> dict:
         "d": pair.d,
         "delta": delta,
         "subspace_dim": len(basis.basis),
-        "basis": [[symring.format_fraction(c) for c in row] for row in basis.basis],
-        "plucker": [symring.format_fraction(c) for c in coords],
+        "basis": basis.basis,
+        "plucker": coords,
         "reconstructed": str(rec.fs_matrix[0][0]),
         "smallest_delta": genus0.smallest_working_delta(pair),
     }

@@ -206,77 +206,73 @@ def divisor_form(points: Sequence[tuple], multiplicities: Sequence[int]) -> Bina
 class BinaryFormPair:
     """Matrix of forms realizing the section map O^n -> O(d_1)+...+O(d_r).
 
-    Row i holds n forms of common degree d_i with sum(d_i) = d.  For rank
-    one this is a single row; ``from_section`` builds that case directly.
+    Row i holds n forms of common degree d_i, so the matrix fixes n, r and
+    d = sum(d_i).  ``from_section`` builds the rank-one case, a single row.
     """
 
-    n: int
-    r: int
-    d: int
     fs_matrix: tuple
 
     def __post_init__(self):
-        if self.r < 1 or self.n < self.r:
-            raise ParameterError("need n >= r >= 1")
         rows = tuple(tuple(row) for row in self.fs_matrix)
         object.__setattr__(self, "fs_matrix", rows)
-        if len(rows) != self.r or any(len(row) != self.n for row in rows):
-            raise ParameterError("fs_matrix must be r x n")
-        for row in rows:
-            degs = {f.degree for f in row}
-            if len(degs) != 1:
-                raise ParameterError("entries of a row must share a degree")
-        if sum(row[0].degree for row in rows) != self.d:
-            raise ParameterError("row degrees must sum to d")
+        if not rows or any(len(row) != len(rows[0]) for row in rows) \
+                or len(rows[0]) < len(rows):
+            raise ParameterError("fs_matrix must be a nonempty r x n matrix with n >= r")
+        if any(len({f.degree for f in row}) != 1 for row in rows):
+            raise ParameterError("entries of a row must share a degree")
 
     @staticmethod
     def from_section(forms: Sequence[BinaryForm]) -> "BinaryFormPair":
-        forms = tuple(forms)
-        return BinaryFormPair(len(forms), 1, forms[0].degree, (forms,))
+        return BinaryFormPair((tuple(forms),))
+
+    @property
+    def n(self) -> int:
+        return len(self.fs_matrix[0])
+
+    @property
+    def r(self) -> int:
+        return len(self.fs_matrix)
+
+    @property
+    def d(self) -> int:
+        return sum(self.row_degrees())
 
     def row_degrees(self) -> tuple:
         return tuple(row[0].degree for row in self.fs_matrix)
 
-    def generic_rank(self) -> int:
-        """Rank of the matrix over the function field: the largest k such that
-        some k rows have a nonzero maximal minor."""
-        for k in range(min(self.r, self.n), 0, -1):
-            for rows in itertools.combinations(self.fs_matrix, k):
-                if any(_maximal_minors(rows)):
-                    return k
-        return 0
+    def has_full_rank(self) -> bool:
+        """Rank r over the function field: some maximal minor is nonzero."""
+        return any(_maximal_minors(self.fs_matrix))
 
     def canonical(self) -> "BinaryFormPair":
         """Representative with the first nonzero coefficient scaled to 1."""
-        for row in self.fs_matrix:
-            for f in row:
-                for c in f.coefficients:
-                    if c:
-                        scale = 1 / c
-                        rows = tuple(tuple(fm.scale(scale) for fm in rw)
-                                     for rw in self.fs_matrix)
-                        return BinaryFormPair(self.n, self.r, self.d, rows)
-        return self
+        lead = next((c for row in self.fs_matrix for f in row
+                     for c in f.coefficients if c), None)
+        return self if lead is None else BinaryFormPair(
+            tuple(tuple(f.scale(1 / lead) for f in row) for row in self.fs_matrix))
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Reduced-echelon basis of a subspace of n copies of degree-delta forms."""
+    """Subspace of n copies of the degree-delta forms, held as its reduced
+    echelon basis: any two bases of one subspace give equal objects."""
 
-    ambient_dim: int
     basis: tuple
     n: int
     delta: int
 
     def __post_init__(self):
         rows = tuple(tuple(Fraction(c) for c in row) for row in self.basis)
-        object.__setattr__(self, "basis", rows)
-        if self.ambient_dim != self.n * (self.delta + 1):
-            raise ParameterError("ambient_dim must equal n*(delta+1)")
         if any(len(row) != self.ambient_dim for row in rows):
             raise ParameterError("basis vectors must have ambient length")
-        if rows and len(_rref(rows)) != len(rows):
+        reduced = tuple(_rref(rows))
+        if len(reduced) != len(rows):
             raise ParameterError("basis vectors must be linearly independent")
+        object.__setattr__(self, "basis", reduced)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.n * (self.delta + 1)
 
     def component_forms(self, vec_index: int) -> tuple:
         """The n degree-delta forms making up one basis vector."""
@@ -342,43 +338,37 @@ def embed_pair(pair: BinaryFormPair, delta: int) -> SubspaceBasis:
     """Subspace of n-tuples of degree-delta forms cut out by the pair.
 
     The subspace is the image of the multiplication map sending a tuple of
-    forms psi_i of degree delta - d_i to the row vector psi * fs_matrix; its
-    dimension must equal r*(delta+1) - d, or the twist is too small.
+    forms psi_i of degree delta - d_i to the row vector psi * fs_matrix; that
+    map is injective (see ``smallest_working_delta``): dimension r*(delta+1) - d.
     """
     if delta < 1:
         raise ParameterError("delta must be >= 1")
-    expected = pair.r * (delta + 1) - pair.d
-    if expected < 0:
+    if pair.r * (delta + 1) - pair.d < 0:
         raise ParameterError("delta below usable range: expected dimension negative")
-    if pair.generic_rank() != pair.r:
+    if not pair.has_full_rank():
         raise RankDeficientError("pair violates the generic rank invariant")
     if any(dg > delta for dg in pair.row_degrees()):
         raise DeltaTooSmallError("delta too small for this pair")
-    width = delta + 1
     vectors = []
     for row in pair.fs_matrix:
         e = delta - row[0].degree
         for k in range(e + 1):
             mono = BinaryForm.monomial(e, k)
-            vec = []
-            for f in row:
-                vec.extend((mono * f).coefficients)
-            vectors.append(tuple(vec))
-    reduced = _rref(vectors)
-    if len(reduced) != expected:
-        raise DeltaTooSmallError("delta too small for this pair")
-    return SubspaceBasis(pair.n * width, tuple(reduced), pair.n, delta)
+            vectors.append(tuple(c for f in row for c in (mono * f).coefficients))
+    return SubspaceBasis(tuple(vectors), pair.n, delta)
 
 
 def plucker(basis: SubspaceBasis) -> tuple:
     """Plucker coordinates: all maximal minors of the basis matrix.
 
-    Well defined up to overall scale; changing the basis by an invertible
-    combination rescales every coordinate by the same determinant.
+    Any basis gives them up to one overall scale, its determinant against
+    another.  The reduced echelon basis already gives them normalized: the
+    minor on its pivot columns is 1, and every lexicographically earlier
+    minor vanishes, so the first nonzero coordinate is 1.
     """
     if not basis.basis:
         raise ParameterError("Plucker coordinates need a nonempty basis")
-    return tuple(_maximal_minors([list(r) for r in basis.basis]))
+    return tuple(_maximal_minors(basis.basis))
 
 
 def projective_normalize(coords: Sequence[Fraction]) -> tuple:
@@ -413,8 +403,7 @@ def reconstruct(basis: SubspaceBasis, n: int, delta: int) -> BinaryFormPair:
         raise ReconstructionError("basis not saturating to a rank-1 subsheaf")
     pair = BinaryFormPair.from_section(
         [BinaryForm(d, f.coefficients[e:]) for f in last]).canonical()
-    check = embed_pair(pair, delta)
-    if check.basis != basis.basis:
+    if embed_pair(pair, delta) != basis:
         raise ReconstructionError("basis not saturating to a rank-1 subsheaf")
     return pair
 
@@ -427,7 +416,7 @@ def smallest_working_delta(pair: BinaryFormPair) -> int:
     over the function field satisfy no polynomial relation.  Dependent rows
     raise RankDeficientError: no twist fixes such a pair.
     """
-    if pair.generic_rank() != pair.r:
+    if not pair.has_full_rank():
         raise RankDeficientError("pair violates the generic rank invariant")
     return max(1, *pair.row_degrees())
 

@@ -119,9 +119,7 @@ def grassmann_params(p: EmbeddingParams) -> GrassmannData:
     if p.elldelta <= 2 * p.g - 2:
         raise ParameterError("need ell*delta > 2g-2 for an exact section count")
     total = p.n * (p.elldelta + 1 - p.g)
-    sub = p.r * (p.elldelta - p.g + 1) - p.d
-    if sub < 0:
-        raise ParameterError("negative subspace dimension: delta below usable range")
+    sub = p.r * (p.elldelta - p.g + 1) - p.d   # >= 0 by EmbeddingParams' bound
     gr = sub * (total - sub)
     ambient = comb(total, sub) - 1
     return GrassmannData(total, sub, gr, ambient)

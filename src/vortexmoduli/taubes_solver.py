@@ -340,12 +340,16 @@ def bradlow_sweep(template: VortexProblem, vol_list: Sequence[float]) -> list:
 # problem files and field dumps
 
 
+_CONFIG_KEYS = ("L1", "L2", "N1", "N2", "e2", "tau", "tol", "reg_width", "max_iter")
+
+
 def parse_config(text: str) -> VortexProblem:
     """Key-value problem description.
 
     Recognized keys: L1, L2, N1, N2, e2, tau, tol, reg_width, max_iter, and
     repeatable ``zero = x y [multiplicity]`` lines.  '#' starts a comment.
-    A nan or infinite float value raises ParameterError.
+    An unknown or repeated key, or a nan or infinite float value, raises
+    ParameterError.
     """
     values = {}
     zeros = []
@@ -366,6 +370,10 @@ def parse_config(text: str) -> VortexProblem:
             where = "line %d: zero coordinate" % lineno
             zeros.append((require_finite(where, float(parts[0])),
                           require_finite(where, float(parts[1])), int(parts[2])))
+        elif key not in _CONFIG_KEYS:
+            raise ParameterError("line %d: unknown key %r" % (lineno, key))
+        elif key in values:
+            raise ParameterError("line %d: repeated key %r" % (lineno, key))
         else:
             values[key] = val
     missing = {"L1", "L2", "N1", "N2", "e2", "tau"} - set(values)

@@ -381,3 +381,41 @@ def test_malformed_config_exits_2(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("extra,message", [
+    ("toll = 1e-3\n", "line 8: unknown key 'toll'"),
+    ("N1 = 64\n", "line 8: repeated key 'N1'"),
+], ids=["unknown-key", "repeated-key"])
+def test_config_rejects_unknown_and_repeated_keys(tmp_path, capsys, extra, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_GOOD_CONFIG + extra)
+    code, out, err = run_cli(capsys, "vortex", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == message
+
+
+@pytest.mark.parametrize("case,expected_code", [
+    ("env-only", 0), ("cwd-wins", 0), ("absolute-ignores-env", 2), ("missing", 2)])
+def test_vortex_config_dir_lookup(tmp_path, capsys, monkeypatch, case, expected_code):
+    # a copy of the config that is read exits 2 when it lacks tau
+    env_dir, cwd = tmp_path / "env", tmp_path / "cwd"
+    env_dir.mkdir()
+    cwd.mkdir()
+    monkeypatch.setenv("VORTEXMODULI_CONFIG_DIR", str(env_dir))
+    monkeypatch.chdir(cwd)
+    config = "prob.cfg"
+    if case == "env-only":
+        (env_dir / config).write_text(_GOOD_CONFIG)
+    elif case == "cwd-wins":
+        (env_dir / config).write_text(_GOOD_CONFIG.replace("tau = 1\n", ""))
+        (cwd / config).write_text(_GOOD_CONFIG)
+    elif case == "absolute-ignores-env":
+        (env_dir / config).write_text(_GOOD_CONFIG)
+        config = str(tmp_path / "elsewhere" / config)
+    code, out, err = run_cli(capsys, "vortex", "--config", config)
+    assert code == expected_code
+    if expected_code == 0:
+        assert json.loads(out)["iterations"] >= 1
+    else:
+        assert out == "" and "error" in json.loads(err)

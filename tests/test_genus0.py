@@ -89,20 +89,32 @@ def test_embed_errors():
         embed_pair(BinaryFormPair.from_section([form(1, 0, 0)]), 1)
     rows = ((form(1, 0), form(0, 1)), (form(2, 0), form(0, 2)))
     with pytest.raises(RankDeficientError):
-        embed_pair(BinaryFormPair(2, 2, 2, rows), 3)
-    with pytest.raises(ParameterError):
-        BinaryFormPair(2, 2, 3, rows)  # degrees sum to 2, not 3
+        embed_pair(BinaryFormPair(rows), 3)
+
+
+def test_constructors_reject_inconsistent_data():
+    x, y = form(1, 0), form(0, 1)
+    for rows in (((x, y), (x,)),           # ragged
+                 ((x,), (y,)),             # n < r
+                 ((x, form(1, 0, 0)),),    # mixed degrees in a row
+                 ()):                      # empty
+        with pytest.raises(ParameterError):
+            BinaryFormPair(rows)
+    with pytest.raises(ParameterError):    # row length 2, ambient length 3
+        SubspaceBasis(((F(1), F(0)),), 1, 2)
+    with pytest.raises(ParameterError):    # dependent rows
+        SubspaceBasis(((F(1), F(2), F(0)), (F(2), F(4), F(0))), 1, 2)
 
 
 def test_embed_rank_two():
     rows = ((form(1, 0), BinaryForm.zero(1)), (BinaryForm.zero(1), form(0, 1)))
-    pair = BinaryFormPair(2, 2, 2, rows)
-    assert pair.generic_rank() == 2
+    pair = BinaryFormPair(rows)
+    assert (pair.n, pair.r, pair.d) == (2, 2, 2) and pair.has_full_rank()
     basis = embed_pair(pair, 2)
     assert len(basis.basis) == 2 * 3 - 2
     # unbalanced splitting needs a larger twist
     rows = ((form(1), form(1)), (form(1, 0, 0), form(0, 0, 1)))
-    unb = BinaryFormPair(2, 2, 2, rows)
+    unb = BinaryFormPair(rows)
     with pytest.raises(DeltaTooSmallError):
         embed_pair(unb, 1)
     assert len(embed_pair(unb, 2).basis) == 4
@@ -119,8 +131,28 @@ def test_plucker_basis_independence():
         tuple(a - b for a, b in zip(r1, r2)),
         tuple(F(1, 3) * a for a in r2),
     )
-    mixed_basis = SubspaceBasis(basis.ambient_dim, mixed, basis.n, basis.delta)
-    assert projective_normalize(plucker(mixed_basis)) == projective_normalize(raw)
+    mixed_basis = SubspaceBasis(mixed, basis.n, basis.delta)
+    # a subspace is its reduced echelon basis, whichever basis it was given by
+    assert mixed_basis == basis
+    assert plucker(mixed_basis) == raw == projective_normalize(raw)
+    assert reconstruct(mixed_basis, 1, 4) == pair.canonical()
+
+
+def test_plucker_of_a_subspace_is_normalized():
+    # the echelon basis puts a 1 at the first nonzero coordinate
+    rng = random.Random(77)
+    checked = 0
+    for _ in range(300):
+        n, delta = rng.randint(1, 3), rng.randint(1, 3)
+        width = n * (delta + 1)
+        rows = [[F(rng.choice((0, 0, 1, -1, 2)), rng.randint(1, 3)) for _ in range(width)]
+                for _ in range(rng.randint(1, min(4, width)))]
+        if len(_rref(rows)) != len(rows):
+            continue
+        coords = plucker(SubspaceBasis(tuple(map(tuple, rows)), n, delta))
+        assert coords == projective_normalize(coords)
+        checked += 1
+    assert checked >= 200
 
 
 def test_plucker_single_vector():
@@ -200,7 +232,7 @@ def test_reconstruct_random_subspaces():
             rows = _rref(rows)
         if not rows or len(_rref(rows)) != len(rows):
             continue
-        basis = SubspaceBasis(width, tuple(map(tuple, rows)), n, delta)
+        basis = SubspaceBasis(tuple(map(tuple, rows)), n, delta)
         try:
             pair = reconstruct(basis, n, delta)
         except ReconstructionError:
@@ -213,14 +245,14 @@ def test_reconstruct_random_subspaces():
 
 def test_reconstruct_rejects_bad_subspace():
     # a subspace that is not of the form h * s: {x^2, y^2} inside delta = 2
-    bad = SubspaceBasis(3, ((F(1), F(0), F(0)), (F(0), F(0), F(1))), 1, 2)
+    bad = SubspaceBasis(((F(1), F(0), F(0)), (F(0), F(0), F(1))), 1, 2)
     with pytest.raises(ReconstructionError):
         reconstruct(bad, 1, 2)
 
 
 def test_reconstruct_higher_rank_unimplemented():
     rows = ((form(1, 0), BinaryForm.zero(1)), (BinaryForm.zero(1), form(0, 1)))
-    basis = embed_pair(BinaryFormPair(2, 2, 2, rows), 2)
+    basis = embed_pair(BinaryFormPair(rows), 2)
     with pytest.raises(ReconstructionError):
         reconstruct(basis, 2, 2)
 
@@ -262,7 +294,7 @@ def _random_pair(rng):
         h = _random_form(rng, rng.randint(0, 4 - degrees[j]))
         rows[i] = [h * f for f in rows[j]]
         degrees[i] = rows[i][0].degree
-    return BinaryFormPair(n, r, sum(degrees), rows)
+    return BinaryFormPair(rows)
 
 
 def test_smallest_working_delta_matches_search():
@@ -270,7 +302,7 @@ def test_smallest_working_delta_matches_search():
     deficient = 0
     for _ in range(320):
         pair = _random_pair(rng)
-        if pair.generic_rank() < pair.r:
+        if not pair.has_full_rank():
             deficient += 1
             with pytest.raises(RankDeficientError):
                 _smallest_working_delta_by_search(pair)
@@ -279,6 +311,9 @@ def test_smallest_working_delta_matches_search():
         else:
             expected = _smallest_working_delta_by_search(pair)
             assert smallest_working_delta(pair) == expected
+            top = max(pair.row_degrees())
+            for delta in range(max(top, 1), top + 3):
+                assert len(embed_pair(pair, delta).basis) == pair.r * (delta + 1) - pair.d
     assert 40 <= deficient <= 280
 
 
