@@ -130,12 +130,11 @@ def cmd_genus0(args) -> dict:
             raise ParameterError("--family needs --d")
         delta = args.delta if args.delta is not None else args.d + 2
         coords = genus0.plucker_sweep(args.family, args.d, delta)
-        degree = max(m.degree for m in coords if m)
         return {
             "family": args.family,
             "d": args.d,
             "delta": delta,
-            "curve_degree": degree,
+            "curve_degree": genus0.curve_degree(args.family, args.d, delta),
             "coordinate_t_degrees": [genus0.t_degree(m) for m in coords],
         }
     if not args.s:

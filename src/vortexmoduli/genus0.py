@@ -10,13 +10,18 @@ forward expansion down its rows.  The inverse direction reads the section
 (rank one) off the last row of the reduced echelon basis, which is y^e times
 it.  Sweeps measure the degrees of the two standard curves inside the
 symmetric power: each is a map P^1 -> P^N whose coordinates are binary forms
-in a parameter (t:s), and its degree is their common degree.  Their base
-locus is empty (the first and last nonzero coordinates are powers of s and
-of t), which the sweep checks with form gcds read in the chart x = 1, where
-coefficients ascend in y/x.
+in a parameter (t:s), and its degree is their common degree.  The rows of a
+sweep matrix shift the section, so its two contiguous column blocks that
+start at the section's first and last nonzero coefficients a and b are
+triangular, with minors a^(e+1) and b^(e+1).  ``curve_degree`` reads the
+degree off them and proves the base locus empty by their gcd alone (a power
+of s against a power of t); ``plucker_sweep`` expands every minor and is the
+reference route.  Form gcds are read in the chart x = 1, where coefficients
+ascend in y/x.
 
 Everything here is pure and exact: Fractions for numbers, one binary form
-type for every polynomial, one minor routine, no floating point.
+type for every polynomial, one minor routine, no floating point.  A float
+given as input must be finite, or ParameterError says so.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import Optional, Sequence
 
-from .moduli_numerics import ParameterError
+from .moduli_numerics import ParameterError, require_finite
 
 __all__ = [
     "BinaryForm",
@@ -59,6 +64,15 @@ class ReconstructionError(ValueError):
     """The subspace does not arise from a valid pair."""
 
 
+def _rational(name: str, value) -> Fraction:
+    """``value`` as a Fraction; a non-finite float raises ParameterError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        require_finite(name, value)
+    return Fraction(value)
+
+
 # ---------------------------------------------------------------------------
 # binary forms: homogeneous in (x, y); coefficients[i] multiplies x^(deg-i) y^i
 
@@ -74,12 +88,13 @@ class BinaryForm:
         if len(self.coefficients) != self.degree + 1:
             raise ParameterError("need degree+1 coefficients")
         object.__setattr__(self, "coefficients", tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in self.coefficients))
+            c if isinstance(c, Fraction) else _rational("coefficient", c)
+            for c in self.coefficients))
 
     @staticmethod
     def monomial(degree: int, y_power: int, coeff=1) -> "BinaryForm":
         c = [Fraction(0)] * (degree + 1)
-        c[y_power] = Fraction(coeff)
+        c[y_power] = coeff
         return BinaryForm(degree, tuple(c))
 
     @staticmethod
@@ -120,7 +135,7 @@ class BinaryForm:
         return self.scale(other)
 
     def scale(self, const) -> "BinaryForm":
-        c = Fraction(const)
+        c = _rational("scalar", const)
         return BinaryForm(self.degree, tuple(c * a for a in self.coefficients))
 
     def y_valuation(self) -> int:
@@ -190,7 +205,7 @@ def divisor_form(points: Sequence[tuple], multiplicities: Sequence[int]) -> Bina
     """Form vanishing at [a:b] with the given multiplicities: prod (b*x - a*y)^m."""
     out = BinaryForm(0, (Fraction(1),))
     for (a, b), m in zip(points, multiplicities):
-        lin = BinaryForm(1, (Fraction(b), -Fraction(a)))
+        lin = BinaryForm(1, (_rational("point", b), -_rational("point", a)))
         if not lin:
             raise ParameterError("(0:0) is not a point of the projective line")
         for _ in range(m):
@@ -262,7 +277,8 @@ class SubspaceBasis:
     delta: int
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(c) for c in row) for row in self.basis)
+        rows = tuple(tuple(c if isinstance(c, Fraction) else _rational("basis entry", c)
+                           for c in row) for row in self.basis)
         if any(len(row) != self.ambient_dim for row in rows):
             raise ParameterError("basis vectors must have ambient length")
         reduced = tuple(_rref(rows))
@@ -373,9 +389,10 @@ def plucker(basis: SubspaceBasis) -> tuple:
 
 def projective_normalize(coords: Sequence[Fraction]) -> tuple:
     """Scale so the first nonzero coordinate is 1 (for comparing points)."""
-    for c in coords:
+    values = [_rational("coordinate", v) for v in coords]
+    for c in values:
         if c:
-            return tuple(Fraction(v) / c for v in coords)
+            return tuple(v / c for v in values)
     raise ParameterError("zero vector has no projective normalization")
 
 
@@ -448,32 +465,44 @@ def _sweep_section(family: str, d: int, p: Fraction) -> list:
     raise ParameterError("family must be 'd0' or 'd1'")
 
 
+def _sweep_degree(section: list, e: int) -> int:
+    """Curve degree of the sweep of ``section`` at e = delta - d, once its
+    base locus is proved empty; ParameterError if that proof fails.
+
+    Row k of the sweep matrix is the section shifted k columns right, so the
+    (e+1)-column blocks starting at its first and last nonzero coefficients
+    a and b are upper and lower triangular, with minors a^(e+1) and b^(e+1):
+    the lexicographically first and last nonzero coordinates.  Every
+    coordinate has degree (e+1) * deg a.  The gcd of all coordinates divides
+    gcd(a^(e+1), b^(e+1)), which has degree 0 exactly when gcd(a, b) does.
+    For both families a is a power of s and b a constant times a power of t.
+    """
+    ends = [c for c in section if c]
+    if not ends:
+        raise ParameterError("degenerate sweep: all coordinates vanish")
+    if form_gcd(ends[0], ends[-1]).degree:
+        raise ParameterError("sweep coordinates share a base locus")
+    return (e + 1) * ends[0].degree
+
+
 def plucker_sweep(family: str, d: int, delta: int, p=Fraction(2)) -> tuple:
     """Plucker coordinates of the swept curve P^1 -> P^N as binary forms in
-    (t:s); every coordinate, zero or not, has the same degree: the curve degree.
+    (t:s): every maximal minor of the sweep matrix, in lexicographic order.
+    Every coordinate, zero or not, has the curve degree.
 
-    The base locus is empty, and ParameterError says if it is not.  The rows
-    shift the section's coefficient vector, whose x^d entry is a power of s
-    and whose last nonzero entry a constant times a power of t.  By
-    triangular blocks, so are the first and last nonzero minors: the gcd of
-    all coordinates, folded from the last, has degree 0 after one step.
+    This is the reference route, expanding all C(delta+1, e+1) minors;
+    ``curve_degree`` needs only the two triangular blocks.  Both check that
+    the base locus is empty the same way (see ``_sweep_degree``) and raise
+    ParameterError if it is not.
     """
     if delta < d:
         raise DeltaTooSmallError("delta too small for this pair")
-    section = _sweep_section(family, d, Fraction(p))
-    zero = BinaryForm.zero(section[0].degree)
+    section = _sweep_section(family, d, _rational("p", p))
     e = delta - d
+    _sweep_degree(section, e)
+    zero = BinaryForm.zero(section[0].degree)
     rows = [[zero] * k + section + [zero] * (e - k) for k in range(e + 1)]
-    minors = _maximal_minors(rows)
-    nonzero = [m for m in minors if m]
-    if not nonzero:
-        raise ParameterError("degenerate sweep: all coordinates vanish")
-    common = nonzero[-1]
-    for m in nonzero:
-        common = form_gcd(common, m)
-        if common.degree == 0:
-            return tuple(minors)
-    raise ParameterError("sweep coordinates share a base locus")
+    return tuple(_maximal_minors(rows))
 
 
 def t_degree(coord: BinaryForm) -> Optional[int]:
@@ -483,7 +512,11 @@ def t_degree(coord: BinaryForm) -> Optional[int]:
 
 
 def curve_degree(family: str, d: int, delta: int, p=Fraction(2)) -> int:
-    """Degree of the swept curve: the common degree of its Plucker
-    coordinates, which have no base locus."""
-    coords = plucker_sweep(family, d, delta, p)
-    return max(m.degree for m in coords if m)
+    """Degree of the swept curve: the common degree (e+1) * deg of its
+    Plucker coordinates, e = delta - d, read off the two triangular block
+    minors, whose gcd proves the base locus empty (see ``_sweep_degree``).
+    Equal to the degree of every coordinate of ``plucker_sweep``, without
+    expanding the C(delta+1, e+1) minors."""
+    if delta < d:
+        raise DeltaTooSmallError("delta too small for this pair")
+    return _sweep_degree(_sweep_section(family, d, _rational("p", p)), delta - d)

@@ -387,6 +387,11 @@ def test_curve_degree_validation():
         curve_degree("d1", 1, 4)
     with pytest.raises(DeltaTooSmallError):
         curve_degree("d0", 3, 2)
+    # the twist is checked before the family and its degree
+    with pytest.raises(DeltaTooSmallError):
+        curve_degree("d2", 3, 2)
+    with pytest.raises(DeltaTooSmallError):
+        curve_degree("d1", 1, 0)
 
 
 _SWEEP_CASES = [(family, d, delta, p)
@@ -408,6 +413,16 @@ def test_sweep_coordinates_have_no_common_factor(family, d, delta, p):
     assert g.degree == 0
     # the first and last nonzero coordinates alone are already coprime
     assert form_gcd(nonzero[0], nonzero[-1]).degree == 0
+    # they are the minors of the triangular blocks at the section's first
+    # and last nonzero coefficients a and b: a^(e+1) and b^(e+1), up to sign
+    ends = [c for c in genus0._sweep_section(family, d, p) if c]
+    first, last = form(1), form(1)
+    for _ in range(delta - d + 1):
+        first, last = first * ends[0], last * ends[-1]
+    assert first in (nonzero[0], -nonzero[0])
+    assert last in (nonzero[-1], -nonzero[-1])
+    # curve_degree reads the common degree of every coordinate off them
+    assert {c.degree for c in coords} == {curve_degree(family, d, delta, p)}
 
 
 def test_sweep_with_a_base_locus_raises(monkeypatch):
@@ -418,8 +433,31 @@ def test_sweep_with_a_base_locus_raises(monkeypatch):
     monkeypatch.setattr(genus0, "_sweep_section", lambda family, d, p: [
         c * t_minus_s for c in section(family, d, p)])
     for family, d, delta in (("d0", 1, 1), ("d0", 2, 4), ("d1", 3, 5)):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="base locus"):
             plucker_sweep(family, d, delta)
+        with pytest.raises(ParameterError, match="base locus"):
+            curve_degree(family, d, delta)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_floats_raise_parameter_error(bad):
+    calls = [
+        lambda: BinaryForm(1, (bad, 0)),
+        lambda: BinaryForm.monomial(2, 1, bad),
+        lambda: form(1, 0) * bad,
+        lambda: divisor_form([(bad, 1)], [1]),
+        lambda: divisor_form([(0, bad)], [1]),
+        lambda: SubspaceBasis(((bad, 0, 0, 0),), 2, 1),
+        lambda: projective_normalize((0, bad)),
+        lambda: curve_degree("d1", 3, 5, bad),
+        lambda: plucker_sweep("d1", 3, 5, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="must be finite"):
+            call()
+    # finite floats are still read exactly
+    assert BinaryForm(1, (0.5, 2.0)) == form(F(1, 2), 2)
+    assert curve_degree("d1", 3, 5, 0.5) == curve_degree("d1", 3, 5, F(1, 2))
 
 
 def test_sweep_coordinates_share_one_degree_even_when_vanishing():
