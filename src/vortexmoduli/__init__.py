@@ -3,6 +3,11 @@ surface: the exact cohomology ring of symmetric powers, Grassmannian
 embedding numerology, Kahler-class comparisons, a concrete genus-zero
 realization of the embedding, partition strata of the local moduli space,
 and a numerical solver for the vortex equations on a flat torus.
+
+Only the solver needs numpy.  Its names (``TorusSpec``, ``VortexProblem``,
+``TorusVortexState``, ``StabilityError``, ``NonConvergenceError``, ``solve``,
+``bradlow_sweep``) resolve on first access, so importing the package does
+not load numpy.
 """
 
 from .symring import (
@@ -51,14 +56,20 @@ from .genus0 import (
     curve_degree,
 )
 from .strata import Partition, partitions, fiber_tower, stratum_dim, stratification_report
-from .taubes_solver import (
-    TorusSpec,
-    VortexProblem,
-    TorusVortexState,
-    StabilityError,
-    NonConvergenceError,
-    solve,
-    bradlow_sweep,
-)
 
 __version__ = "0.1.0"
+
+_SOLVER_NAMES = frozenset({"TorusSpec", "VortexProblem", "TorusVortexState",
+                           "StabilityError", "NonConvergenceError", "solve",
+                           "bradlow_sweep"})
+
+
+def __getattr__(name):
+    if name in _SOLVER_NAMES:
+        from . import taubes_solver
+        return getattr(taubes_solver, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | _SOLVER_NAMES)

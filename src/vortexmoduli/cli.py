@@ -5,6 +5,12 @@ codes: 0 success, 2 validation error, 3 numerical non-convergence.  Exact
 rationals are serialized as strings "p/q" so nothing is lost on the wire;
 identical inputs to the exact-arithmetic subcommands produce byte-identical
 output.
+
+Only ``vortex`` and the full ``verify`` import the solver, and with it
+numpy; the other subcommands start without it.  The solver's exceptions,
+``StabilityError`` (exit 2, with ``critical_tau``) and
+``NonConvergenceError`` (exit 3), are defined in ``moduli_numerics``, so
+``main`` catches them without importing the solver.
 """
 
 from __future__ import annotations
@@ -16,9 +22,8 @@ import sys
 from fractions import Fraction
 
 from . import acceptance, genus0, kahler_class, moduli_numerics, strata, symring
-from . import taubes_solver
 from . import tensor_oracle as oracle
-from .moduli_numerics import ParameterError
+from .moduli_numerics import NonConvergenceError, ParameterError, StabilityError
 
 CONFIG_DIR_ENV = "VORTEXMODULI_CONFIG_DIR"
 
@@ -160,6 +165,8 @@ def cmd_genus0(args) -> dict:
 
 
 def cmd_vortex(args) -> dict:
+    from . import taubes_solver
+
     path = args.config
     if not os.path.exists(path) and not os.path.isabs(path):
         base = os.environ.get(CONFIG_DIR_ENV)
@@ -295,12 +302,12 @@ def main(argv=None) -> int:
         payload = args.func(args)
         if payload is not None:
             _emit(payload, args.text)
-    except taubes_solver.NonConvergenceError as exc:
+    except NonConvergenceError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError, OSError) as exc:
         detail = {"error": str(exc)}
-        if isinstance(exc, taubes_solver.StabilityError):
+        if isinstance(exc, StabilityError):
             detail["critical_tau"] = exc.critical_tau
         print(json.dumps(detail), file=sys.stderr)
         return 2

@@ -4,6 +4,9 @@ the moduli dimension formula, and the stability inequality.
 
 All counting functions are exact integer arithmetic; only the physical
 stability data (coupling, tau, area) uses floats.
+
+The solver's exceptions live here beside ParameterError, so code that only
+catches them (the CLI) need not import the solver and numpy.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from math import comb, isfinite, pi
 
 __all__ = [
     "ParameterError",
+    "StabilityError",
+    "NonConvergenceError",
     "require_finite",
     "EmbeddingParams",
     "PhysicalParams",
@@ -34,9 +39,32 @@ class ParameterError(ValueError):
     """Raised when parameters leave the range where a formula is asserted."""
 
 
+class StabilityError(ValueError):
+    """The requested parameters sit at or below the dissolving threshold."""
+
+    def __init__(self, message: str, critical_tau: float):
+        super().__init__(message)
+        self.critical_tau = critical_tau
+
+
+class NonConvergenceError(RuntimeError):
+    """A solve stopped without reaching its residual tolerance."""
+
+    def __init__(self, message: str, residual: float, iterations: int):
+        super().__init__(message)
+        self.residual = residual
+        self.iterations = iterations
+
+
 def require_finite(name: str, value: float) -> float:
-    """Return ``value``; raise ParameterError when it is nan or infinite."""
-    if not isfinite(value):
+    """Return ``value``; raise ParameterError when it is nan, infinite, or
+    a number (such as an int) too large to convert to a float."""
+    try:
+        finite = isfinite(value)
+    except OverflowError:
+        raise ParameterError("%s must be finite, got a number beyond float range"
+                             % name) from None
+    if not finite:
         raise ParameterError("%s must be finite, got %r" % (name, value))
     return value
 

@@ -36,6 +36,10 @@ with factor 1/2 down to steps of 2^-10.
 A solve owns its grids; independent problems can run concurrently.  All
 reductions are plain numpy sums over fixed-shape arrays, so repeated runs
 on identical inputs are deterministic.
+
+``StabilityError`` and ``NonConvergenceError`` are defined in
+``moduli_numerics`` and re-exported here, so code that only catches them
+need not import this module, and with it numpy.
 """
 
 from __future__ import annotations
@@ -46,8 +50,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .moduli_numerics import (ParameterError, PhysicalParams, StabilityReport,
-                              require_finite, stability_check)
+from .moduli_numerics import (NonConvergenceError, ParameterError, PhysicalParams,
+                              StabilityError, StabilityReport, require_finite,
+                              stability_check)
 
 __all__ = [
     "TorusSpec",
@@ -64,21 +69,6 @@ __all__ = [
 
 MIN_NEWTON_STEP = 2.0 ** -10
 CG_MAX_ITER = 2000
-
-
-class StabilityError(ValueError):
-    """The requested parameters sit at or below the dissolving threshold."""
-
-    def __init__(self, message: str, critical_tau: float):
-        super().__init__(message)
-        self.critical_tau = critical_tau
-
-
-class NonConvergenceError(RuntimeError):
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)

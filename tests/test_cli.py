@@ -45,14 +45,26 @@ def test_ring_accepts_leading_minus(capsys, expr, d, g, normal_form):
     assert json.loads(out)["normal_form"] == normal_form
 
 
-def test_import_does_not_load_scipy():
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter, which has loaded nothing the test
+    process has; pytest itself may have imported numpy."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, vortexmoduli.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_import_does_not_load_scipy():
+    out = _fresh_python(
+        "import sys, vortexmoduli.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))").stdout
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize("module", ["vortexmoduli", "vortexmoduli.cli"])
+def test_import_does_not_load_numpy(module):
+    proc = _fresh_python("import sys, %s; print('numpy' in sys.modules)" % module)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_byte_identical_output(capsys):
@@ -299,7 +311,7 @@ def test_vortex_stability_exit(tmp_path, capsys):
                    "zero = 1 1 1\n")
     code, _, err = run_cli(capsys, "vortex", "--config", str(cfg))
     assert code == 2
-    assert "critical_tau" in json.loads(err)
+    assert json.loads(err)["critical_tau"] == pytest.approx(pi)
 
 
 def test_vortex_config_dir_env(tmp_path, capsys, monkeypatch):
@@ -324,6 +336,58 @@ def _vortex_config(tmp_path, **overrides):
     cfg.write_text("".join("%s = %s\n" % kv for kv in values.items())
                    + "zero = %r %r 1\n" % (side / 2, side / 2))
     return str(cfg)
+
+
+# the last stdout line of the probe says whether the request loaded numpy
+_NUMPY_PROBE = ("import sys\n"
+                "from vortexmoduli.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print('numpy' in sys.modules)\n"
+                "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("argv,loads_numpy", [
+    (("ring", "2*eta^2 - 1/3*sigma*eta", "--d", "2", "--g", "2"), False),
+    (("kahler", "--d", "2", "--g", "2", "--elldelta", "3",
+      "--e2", "1.0", "--tau", repr(2 / 3), "--vol", repr(12 * pi)), False),
+    (("embed", "--n", "1", "--r", "1", "--d", "2", "--g", "2", "--ell", "1",
+      "--delta", "5"), False),
+    (("stability", "--e2", "1", "--tau", "1", "--vol", "30", "--d", "2"), False),
+    (("strata", "--d", "3", "--r", "2"), False),
+    (("genus0", "--s", "1,0,-1"), False),
+    (("genus0", "--family", "d1", "--d", "3", "--delta", "5"), False),
+    (("verify", "--fast"), False),
+    (("vortex",), True),
+    (("verify",), True),
+], ids=["ring", "kahler-physics", "embed", "stability", "strata", "genus0-s",
+        "genus0-family", "verify-fast", "vortex", "verify"])
+def test_only_the_solver_loads_numpy(tmp_path, argv, loads_numpy):
+    if argv == ("vortex",):
+        argv += ("--config", _vortex_config(tmp_path))
+    proc = _fresh_python(_NUMPY_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+def test_vortex_non_convergence_exits_3(tmp_path, capsys):
+    config = _vortex_config(tmp_path, tol="1e-14", max_iter="1")
+    code, out, err = run_cli(capsys, "vortex", "--config", config)
+    assert (code, out) == (3, "")
+    assert set(json.loads(err)) == {"error"}
+
+
+def test_verify_reports_time_per_criterion(capsys):
+    # stderr lines carry each criterion's wall time; stdout carries none
+    code, out, err = run_cli(capsys, "verify", "--fast")
+    assert code == 0
+    criteria = json.loads(out)["criteria"]
+    lines = err.splitlines()
+    assert len(lines) == len(criteria) == 8
+    for line, crit in zip(lines, criteria):
+        assert set(crit) == {"index", "name", "passed", "detail"}
+        head = "PASS [%2d] %s: %s [" % (crit["index"], crit["name"], crit["detail"])
+        assert line.startswith(head) and line.endswith(" s]"), line
+        assert float(line[len(head):-len(" s]")]) >= 0.0
 
 
 @pytest.mark.parametrize("argv", [

@@ -124,7 +124,8 @@ def test_physical_params_validation():
     with pytest.raises(ParameterError):
         PhysicalParams(1.0, 1.0, -2.0)
     for field in ("e2", "tau", "vol"):
-        for bad in (float("nan"), float("inf")):
+        # an int beyond float range used to escape as OverflowError
+        for bad in (float("nan"), float("inf"), 10 ** 400):
             values = {"e2": 1.0, "tau": 1.0, "vol": 1.0, field: bad}
             with pytest.raises(ParameterError, match=field):
                 PhysicalParams(**values)

@@ -96,6 +96,23 @@ def test_solver_shares_the_stability_predicate():
         bradlow_sweep(template, [4 * pi * (1 + 1e-13)])
 
 
+def test_solver_names_resolve_lazily():
+    import vortexmoduli
+    from vortexmoduli import moduli_numerics, taubes_solver
+
+    for name in ("TorusSpec", "VortexProblem", "TorusVortexState", "StabilityError",
+                 "NonConvergenceError", "solve", "bradlow_sweep"):
+        assert getattr(vortexmoduli, name) is getattr(taubes_solver, name)
+        assert name in dir(vortexmoduli)
+    for name in ("StabilityError", "NonConvergenceError"):
+        assert getattr(taubes_solver, name) is getattr(moduli_numerics, name)
+        assert name in taubes_solver.__all__
+    from vortexmoduli import solve as imported
+    assert imported is solve
+    with pytest.raises(AttributeError):
+        vortexmoduli.no_such_name
+
+
 def test_max_iter_enforced():
     with pytest.raises(NonConvergenceError):
         solve(square_problem(1, 2.0, max_iter=1, tol=1e-14))
@@ -152,6 +169,8 @@ def test_problem_validation():
         TorusSpec(float("inf"), 6.0, 64, 64)
     with pytest.raises(ParameterError, match="L2"):
         TorusSpec(6.0, float("nan"), 64, 64)
+    with pytest.raises(ParameterError, match="L1 must be finite"):
+        TorusSpec(10 ** 400, 6.0, 64, 64)
     with pytest.raises(ParameterError):
         VortexProblem(torus, ((1.0, 1.0, 0),), e2=1.0, tau=1.0)
     with pytest.raises(ParameterError):
