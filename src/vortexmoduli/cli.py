@@ -10,7 +10,8 @@ Only ``vortex`` and the full ``verify`` import the solver, and with it
 numpy; the other subcommands start without it.  The solver's exceptions,
 ``StabilityError`` (exit 2, with ``critical_tau``) and
 ``NonConvergenceError`` (exit 3), are defined in ``moduli_numerics``, so
-``main`` catches them without importing the solver.
+``main`` catches them without importing the solver.  Only ``verify``
+imports the acceptance suite.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import acceptance, genus0, kahler_class, moduli_numerics, strata, symring
+from . import genus0, kahler_class, moduli_numerics, strata, symring
 from . import tensor_oracle as oracle
 from .moduli_numerics import NonConvergenceError, ParameterError, StabilityError
 
@@ -187,6 +188,8 @@ def cmd_vortex(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    from . import acceptance
+
     results = acceptance.run_all(fast=args.fast)
     for res in results:
         print(res.line(), file=sys.stderr)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .symring import CohomologyClass, RingParams
 
@@ -29,6 +29,7 @@ __all__ = [
     "unit_tensor",
     "generator_eta",
     "generator_xi",
+    "monomial_tensor",
     "pullback",
     "oracle_multiply",
     "oracle_integrate",
@@ -179,18 +180,27 @@ def oracle_multiply(a: TensorClass, b: TensorClass) -> TensorClass:
     return TensorClass(a.params, out)
 
 
+def monomial_tensor(params: RingParams, eta_power: int,
+                    xi_indices: Iterable[int]) -> TensorClass:
+    """Image of eta^h xi_{i1} xi_{i2} ...: the unit tensor times the image
+    of each factor in turn, in the order given.  No ring relation is used,
+    so a repeated index gives zero and swapping two indices flips the sign.
+    """
+    term = unit_tensor(params)
+    eta_t = generator_eta(params)
+    for _ in range(eta_power):
+        term = oracle_multiply(term, eta_t)
+    for j in xi_indices:
+        term = oracle_multiply(term, generator_xi(params, j))
+    return term
+
+
 def pullback(a: CohomologyClass) -> TensorClass:
     """Ring homomorphism determined by eta -> sum beta_i, xi_j -> sum alpha_{j,k}."""
-    params = a.params
-    eta_t = generator_eta(params)
-    total = TensorClass(params, {})
+    total = TensorClass(a.params, {})
     for mono, coeff in a.terms.items():
-        term = unit_tensor(params)
-        for _ in range(mono.eta_power):
-            term = oracle_multiply(term, eta_t)
-        for j in mono.xi_indices:
-            term = oracle_multiply(term, generator_xi(params, j))
-        total = total + term.scale(coeff)
+        total = total + monomial_tensor(a.params, mono.eta_power,
+                                        mono.xi_indices).scale(coeff)
     return total
 
 

@@ -67,6 +67,19 @@ def test_import_does_not_load_numpy(module):
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+def test_only_verify_loads_the_acceptance_suite():
+    probe = ("import sys, vortexmoduli.cli as cli\n"
+             "seen = ['vortexmoduli.acceptance' in sys.modules]\n"
+             "cli.main(['strata', '--d', '3', '--r', '2'])\n"
+             "seen.append('vortexmoduli.acceptance' in sys.modules)\n"
+             "cli.main(['verify', '--fast'])\n"
+             "seen.append('vortexmoduli.acceptance' in sys.modules)\n"
+             "print(seen)")
+    proc = _fresh_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, True]"
+
+
 def test_byte_identical_output(capsys):
     args = ("kahler", "--d", "3", "--g", "2", "--elldelta", "7")
     _, out1, _ = run_cli(capsys, *args)

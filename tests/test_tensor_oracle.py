@@ -114,13 +114,22 @@ def test_ring_agrees_with_oracle_beyond_small_grid():
         for s in itertools.combinations(range(1, 7), k):
             for h in range(0, (10 - k) // 2 + 1):
                 cls = sr.eta(params) ** h
-                t = to.unit_tensor(params)
-                for _ in range(h):
-                    t = to.oracle_multiply(t, to.generator_eta(params))
                 for j in s:
                     cls = sr.multiply(cls, sr.xi(params, j))
-                    t = to.oracle_multiply(t, to.generator_xi(params, j))
+                t = to.monomial_tensor(params, h, s)
                 assert sr.integrate(cls) == to.oracle_integrate(t), (h, s)
+
+
+def test_monomial_tensor_outside_normal_form():
+    # pullback only passes normal-form monomials; the route itself uses no
+    # ring relation, so squares vanish and the factor order sets the sign
+    p = RingParams(2, 1)
+    assert to.monomial_tensor(p, 0, (1, 1)).is_zero()
+    assert to.monomial_tensor(p, 1, (2, 2)).is_zero()
+    assert to.monomial_tensor(p, 3, ()).is_zero()
+    assert to.oracle_integrate(to.monomial_tensor(p, 1, (1, 2))) == 1
+    assert to.oracle_integrate(to.monomial_tensor(p, 1, (2, 1))) == -1
+    assert to.monomial_tensor(p, 0, ()) == to.unit_tensor(p)
 
 
 def test_permute_factors_signs():
