@@ -5,9 +5,8 @@ realization of the embedding, partition strata of the local moduli space,
 and a numerical solver for the vortex equations on a flat torus.
 
 Only the solver needs numpy.  Its names (``TorusSpec``, ``VortexProblem``,
-``TorusVortexState``, ``StabilityError``, ``NonConvergenceError``, ``solve``,
-``bradlow_sweep``) resolve on first access, so importing the package does
-not load numpy.
+``TorusVortexState``, ``solve``, ``bradlow_sweep``) resolve on first access,
+so importing the package does not load numpy.
 """
 
 from .symring import (
@@ -30,6 +29,8 @@ from .moduli_numerics import (
     EmbeddingParams,
     PhysicalParams,
     ParameterError,
+    StabilityError,
+    NonConvergenceError,
     rr_dim,
     grassmann_params,
     moduli_dim,
@@ -59,8 +60,7 @@ from .strata import Partition, partitions, fiber_tower, stratum_dim, stratificat
 
 __version__ = "0.1.0"
 
-_SOLVER_NAMES = frozenset({"TorusSpec", "VortexProblem", "TorusVortexState",
-                           "StabilityError", "NonConvergenceError", "solve",
+_SOLVER_NAMES = frozenset({"TorusSpec", "VortexProblem", "TorusVortexState", "solve",
                            "bradlow_sweep"})
 
 

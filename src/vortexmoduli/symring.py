@@ -27,9 +27,9 @@ complete pairs P and lone factors F has, with k = d - h - |F| - |P|, the
 normal form sum_{Q in P, |Q| <= k} (-1)^(k-|Q|) C(|P|-1-|Q|, k-|Q|)
 eta^(h+|P|-|Q|) xi_F sigma_Q; it vanishes when k < 0.  Each monomial is
 expanded directly, as a key (h, mask) with bit i of the mask standing for
-xi_i and an integer coefficient over one common denominator; ``Monomial``
-keys and ``Fraction`` coefficients are built only where a class is made
-(``from_terms`` and ``multiply``).
+xi_i and an integer coefficient over one common denominator.  A class stores
+that reduced key map; ``from_terms`` builds a class from ``Monomial`` terms,
+and ``terms`` is the ``Monomial -> Fraction`` view, built when read.
 
 All coefficients are exact rationals; there is no floating point in this
 module.  Values are immutable after construction and every operation is a
@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Mapping
 
 __all__ = [
@@ -114,9 +114,9 @@ def _encode(params: RingParams, terms: Mapping[Monomial, Fraction]):
 
 
 def _decode(keys: dict, den: int) -> dict:
-    """Inverse of _encode: Monomial -> Fraction(c, den), zero terms dropped."""
+    """Inverse of _encode: Monomial -> Fraction(c, den)."""
     return {Monomial(h, tuple(i for i in range(1, mask.bit_length()) if mask >> i & 1)):
-            Fraction(c, den) for (h, mask), c in keys.items() if c}
+            Fraction(c, den) for (h, mask), c in keys.items()}
 
 
 def _koszul(s: int, t: int) -> int:
@@ -158,7 +158,7 @@ def _normalize_terms(params: RingParams, terms: dict) -> dict:
     The instance (r = h, I1 u I2 = F, J = P) rewrites sigma_P as
     sum_{R < P} (-1)^(|P|+|R|+1) * eta^(|P|-|R|) * sigma_R, every term with
     the same k, so induction on |P| gives the binomial.  Q runs over the
-    submasks of P; entries that sum to zero stay until _decode drops them.
+    submasks of P; entries that sum to zero stay until the class drops them.
     """
     d, g = params.d, params.g
     result: dict[tuple[int, int], int] = {}
@@ -193,26 +193,37 @@ def _normalize_terms(params: RingParams, terms: dict) -> dict:
 
 @dataclass(frozen=True)
 class CohomologyClass:
-    """A rational cohomology class in normal form.
-
-    ``terms`` maps normal-form monomials to nonzero rational coefficients.
-    Instances are immutable; arithmetic returns new classes.
+    """A rational cohomology class in normal form: ``keys`` maps (eta_power,
+    xi_mask) to nonzero integers over ``den`` > 0, with their gcd divided
+    out, so equal classes have equal fields.  Arithmetic returns new classes.
     """
 
     params: RingParams
-    terms: Mapping[Monomial, Fraction]
+    keys: Mapping[tuple[int, int], int]
+    den: int = 1
+
+    def __post_init__(self):
+        div = gcd(self.den, *self.keys.values())
+        object.__setattr__(self, "keys", {k: c // div for k, c in self.keys.items() if c})
+        object.__setattr__(self, "den", self.den // div)
 
     @staticmethod
     def from_terms(params: RingParams, terms: Mapping[Monomial, Fraction]) -> "CohomologyClass":
         keys, den = _encode(params, terms)
-        return CohomologyClass(params, _decode(_normalize_terms(params, keys), den))
+        return CohomologyClass(params, _normalize_terms(params, keys), den)
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The class as a new ``Monomial -> Fraction`` map."""
+        return _decode(self.keys, self.den)
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return CohomologyClass(self.params, {m: c for m, c in out.items() if c})
+        den = lcm(self.den, other.den)
+        out = {k: c * (den // self.den) for k, c in self.keys.items()}
+        for k, c in other.keys.items():
+            out[k] = out.get(k, 0) + c * (den // other.den)
+        return CohomologyClass(self.params, out, den)
 
     def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
         return self + (-1) * other
@@ -238,25 +249,19 @@ class CohomologyClass:
                 break
         return out
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CohomologyClass)
-                and self.params == other.params
-                and dict(self.terms) == dict(other.terms))
-
-    def __hash__(self):
-        return hash((self.params, frozenset(self.terms.items())))
+    def __hash__(self):  # the generated hash cannot hash the keys dict
+        return hash((self.params, frozenset(self.keys.items()), self.den))
 
     def scale(self, const) -> "CohomologyClass":
         c = Fraction(const)
-        if not c:
-            return zero(self.params)
-        return CohomologyClass(self.params, {m: c * v for m, v in self.terms.items()})
+        return CohomologyClass(self.params, {k: c.numerator * v for k, v in self.keys.items()},
+                               self.den * c.denominator)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keys
 
     def degrees(self) -> set[int]:
-        return {m.degree for m in self.terms}
+        return {2 * h + s.bit_count() for h, s in self.keys}
 
     def is_homogeneous(self, degree: int) -> bool:
         return self.degrees() <= {degree}
@@ -277,7 +282,7 @@ def zero(params: RingParams) -> CohomologyClass:
 
 
 def unit(params: RingParams) -> CohomologyClass:
-    return CohomologyClass(params, {Monomial(0, ()): Fraction(1)})
+    return CohomologyClass(params, {(0, 0): 1})
 
 
 def eta(params: RingParams) -> CohomologyClass:
@@ -307,10 +312,8 @@ def sigma(params: RingParams) -> CohomologyClass:
 def multiply(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     """Graded-commutative product, brought to normal form."""
     a._check(b)
-    ta, da = _encode(a.params, a.terms)
-    tb, db = _encode(b.params, b.terms)
-    return CohomologyClass(a.params, _decode(
-        _normalize_terms(a.params, _raw_mul_terms(ta, tb)), da * db))
+    return CohomologyClass(a.params, _normalize_terms(a.params, _raw_mul_terms(a.keys, b.keys)),
+                           a.den * b.den)
 
 
 def normal_form(a: CohomologyClass) -> CohomologyClass:
@@ -324,8 +327,7 @@ def integrate(a: CohomologyClass) -> Fraction:
     Returns the normal-form coefficient of eta^d; in particular classes of
     degree other than 2d integrate to zero.
     """
-    top = Monomial(a.params.d, ())
-    return Fraction(a.terms.get(top, Fraction(0)))
+    return Fraction(a.keys.get((a.params.d, 0), 0), a.den)
 
 
 def pd_sigma0(params: RingParams) -> CohomologyClass:
@@ -360,15 +362,13 @@ def pairing(a: CohomologyClass, curve: int) -> Fraction:
         if d == 1:
             return integrate(a)
         return integrate(multiply(a, pd_sigma0(a.params)))
-    total = Fraction(0)
-    for m, c in a.terms.items():
-        if m.eta_power == 1:
+    total = 0
+    for (h, s), c in a.keys.items():
+        if h:
             total += c * (d - 1)
-        else:
-            i, k = m.xi_indices
-            if k == i + g:
-                total += c * (d - 1) ** 2
-    return total
+        elif s & (s >> g):
+            total += c * (d - 1) ** 2
+    return Fraction(total, a.den)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +397,7 @@ def format_class(a: CohomologyClass) -> str:
     if a.is_zero():
         return "0"
     parts = []
-    for m in sorted(a.terms, key=Monomial.sort_key):
-        c = a.terms[m]
+    for m, c in sorted(a.terms.items(), key=lambda mc: mc[0].sort_key()):
         mono = _format_monomial(m)
         coeff = format_fraction(abs(c))
         body = coeff if not mono else ("%s*%s" % (coeff, mono) if abs(c) != 1 else mono)

@@ -61,7 +61,12 @@ def test_import_does_not_load_scipy():
     assert out == "[]\n"
 
 
-@pytest.mark.parametrize("module", ["vortexmoduli", "vortexmoduli.cli"])
+@pytest.mark.parametrize("module", [
+    "vortexmoduli", "vortexmoduli.cli",
+    # the solver's exceptions are defined in moduli_numerics, which needs no numpy
+    pytest.param("vortexmoduli; vortexmoduli.StabilityError, vortexmoduli.NonConvergenceError",
+                 id="solver-exceptions"),
+])
 def test_import_does_not_load_numpy(module):
     proc = _fresh_python("import sys, %s; print('numpy' in sys.modules)" % module)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -303,8 +303,19 @@ def test_graded_commutativity(data):
 @settings(max_examples=60, deadline=None)
 @given(_ring_classes())
 def test_normal_form_idempotent(data):
-    _params, cls = data
+    params, cls = data
     assert normal_form(cls) == cls
+    # the stored form is canonical: the same class reached through other
+    # denominators compares and hashes equal
+    other = cls.scale(Fraction(5, 3)) + unit(params).scale(Fraction(1, 6))
+    for got, want in [(cls.scale(Fraction(2, 4)), cls.scale(Fraction(1, 2))),
+                      (cls.scale(3).scale(Fraction(1, 6)), cls.scale(Fraction(1, 2))),
+                      ((cls + other) - other, cls),
+                      (cls.scale(0), zero(params))]:
+        assert got == want
+        assert hash(got) == hash(want)
+    assert all(type(c) is Fraction for c in cls.terms.values())
+    assert type(integrate(cls)) is Fraction
 
 
 @settings(max_examples=40, deadline=None)
