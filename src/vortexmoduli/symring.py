@@ -31,6 +31,15 @@ xi_i and an integer coefficient over one common denominator.  A class stores
 that reduced key map; ``from_terms`` builds a class from ``Monomial`` terms,
 and ``terms`` is the ``Monomial -> Fraction`` view, built when read.
 
+Each term xi_F sigma_Q is stored as the sorted xi_{F u Q u Q+g}, so it
+carries the Koszul sign of xi_F against xi_Q xi_{Q+g}: one swap for every
+lone factor a and every b in Q u Q+g with a > b.  For a pair j in Q the
+lone factors above j and those above j + g together have the parity of the
+ones strictly between j and j + g, since none sits at j or j + g.  So the
+sign is (-1)^|Q n N|, with N the pairs whose span (j, j+g) holds an odd
+number of lone factors, found once per monomial.  With Q = P it gives
+xi_S = (-1)^|N| xi_F xi_P xi_{P+g} = (-1)^(|N| + |P|(|P|-1)/2) xi_F sigma_P.
+
 All coefficients are exact rationals; there is no floating point in this
 module.  Values are immutable after construction and every operation is a
 pure function.
@@ -159,6 +168,7 @@ def _normalize_terms(params: RingParams, terms: dict) -> dict:
     sum_{R < P} (-1)^(|P|+|R|+1) * eta^(|P|-|R|) * sigma_R, every term with
     the same k, so induction on |P| gives the binomial.  Q runs over the
     submasks of P; entries that sum to zero stay until the class drops them.
+    The sign of each Q is taken per pair (see the module docstring).
     """
     d, g = params.d, params.g
     result: dict[tuple[int, int], int] = {}
@@ -174,17 +184,26 @@ def _normalize_terms(params: RingParams, terms: dict) -> dict:
         k = d - h - free.bit_count() - n
         if k < 0:
             continue
+        # above: bit x set when an odd number of lone factors lie above x;
+        # neg: the pairs j whose span (j, j+g) holds an odd number of them
+        above, f = 0, free
+        while f:
+            b = f & -f
+            above ^= b - 1
+            f ^= b
+        neg = pairs & (above ^ (above >> g))
         # xi_S = eps * xi_F * sigma_P; xi_F * sigma_Q = (-1)^(q(q-1)/2) * xi_F * xi_Q * xi_{Q+g}
-        c *= _koszul(free, pairs | pairs << g) * (-1) ** (n * (n - 1) // 2)
+        if (neg.bit_count() + n * (n - 1) // 2) & 1:
+            c = -c
         coeffs = [c * (-1) ** (k - q + q * (q - 1) // 2) * comb(n - 1 - q, k - q)
                   for q in range(k + 1)]
         sub = pairs
         while True:
             q = sub.bit_count()
             if q <= k:
-                t = sub | sub << g
-                key = (h + n - q, free | t)
-                result[key] = result.get(key, 0) + _koszul(free, t) * coeffs[q]
+                key = (h + n - q, free | sub | sub << g)
+                v = -coeffs[q] if (sub & neg).bit_count() & 1 else coeffs[q]
+                result[key] = result.get(key, 0) + v
             if not sub:
                 break
             sub = (sub - 1) & pairs
@@ -286,27 +305,26 @@ def unit(params: RingParams) -> CohomologyClass:
 
 
 def eta(params: RingParams) -> CohomologyClass:
-    return CohomologyClass.from_terms(params, {Monomial(1, ()): Fraction(1)})
+    return CohomologyClass(params, _normalize_terms(params, {(1, 0): 1}))
 
 
 def xi(params: RingParams, j: int) -> CohomologyClass:
     if not 1 <= j <= 2 * params.g:
         raise ValueError("xi index %d out of range 1..%d" % (j, 2 * params.g))
-    return CohomologyClass.from_terms(params, {Monomial(0, (j,)): Fraction(1)})
+    return CohomologyClass(params, _normalize_terms(params, {(0, 1 << j): 1}))
 
 
 def sigma_j(params: RingParams, j: int) -> CohomologyClass:
     if not 1 <= j <= params.g:
         raise ValueError("sigma index %d out of range 1..%d" % (j, params.g))
-    return CohomologyClass.from_terms(
-        params, {Monomial(0, (j, j + params.g)): Fraction(1)})
+    keys = {(0, 1 << j | 1 << (j + params.g)): 1}
+    return CohomologyClass(params, _normalize_terms(params, keys))
 
 
 def sigma(params: RingParams) -> CohomologyClass:
-    out = zero(params)
-    for j in range(1, params.g + 1):
-        out = out + sigma_j(params, j)
-    return out
+    g = params.g
+    keys = {(0, 1 << j | 1 << (j + g)): 1 for j in range(1, g + 1)}
+    return CohomologyClass(params, _normalize_terms(params, keys))
 
 
 def multiply(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
@@ -317,8 +335,8 @@ def multiply(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
 
 
 def normal_form(a: CohomologyClass) -> CohomologyClass:
-    """Idempotent: classes are stored in normal form already."""
-    return CohomologyClass.from_terms(a.params, a.terms)
+    """Identity: classes are stored in normal form and never change."""
+    return a
 
 
 def integrate(a: CohomologyClass) -> Fraction:

@@ -11,8 +11,12 @@ The symmetrization map sends eta to sum_i beta_i and xi_j to sum_k
 alpha_{j,k}; integration extracts the beta x ... x beta coefficient and
 divides by d!, so that the image of eta^d integrates to 1.
 
-Dense and slow by design: this module is the oracle that symring is checked
-against, so simplicity wins over speed.
+This module is the oracle that symring is checked against, so it shares
+no code with it and uses no ring relation: a product is brute force over
+every pair of d-tuples.  Only what does not change along the inner loop
+is taken out of it: the parity of the odd factors after each slot, once
+per tuple of the left factor, and the odd slots, once per tuple of the
+right one.
 """
 
 from __future__ import annotations
@@ -145,19 +149,26 @@ def generator_xi(params: RingParams, j: int) -> TensorClass:
     return TensorClass(params, terms)
 
 
+def _odd_after(s: tuple[int, ...], g: int) -> int:
+    """Bit i set when an odd number of odd factors of s lie beyond slot i."""
+    mask, parity = 0, 0
+    for i in range(len(s) - 1, -1, -1):
+        mask |= parity << i
+        parity ^= _factor_degree(s[i], g) & 1
+    return mask
+
+
+def _odd_flags(t: tuple[int, ...], g: int) -> int:
+    """Bit i set when the factor of t in slot i is odd."""
+    return sum((_factor_degree(e, g) & 1) << i for i, e in enumerate(t))
+
+
 def _tuple_mul(s: tuple[int, ...], t: tuple[int, ...], g: int):
-    """Slotwise product of basis tuples with the Koszul sign, or None."""
-    d = len(s)
-    # suffix degree sums of s: moving t_i into slot i passes s_{i+1..d}
-    suffix = [0] * (d + 1)
-    for i in range(d - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + _factor_degree(s[i], g)
+    """Slotwise product of basis tuples, without the Koszul sign, or None."""
     coeff = 1
     out = []
-    for i in range(d):
-        if _factor_degree(t[i], g) % 2 and suffix[i + 1] % 2:
-            coeff = -coeff
-        prod = _factor_mul(s[i], t[i], g)
+    for e1, e2 in zip(s, t):
+        prod = _factor_mul(e1, e2, g)
         if prod is None:
             return None
         c, e = prod
@@ -167,15 +178,22 @@ def _tuple_mul(s: tuple[int, ...], t: tuple[int, ...], g: int):
 
 
 def oracle_multiply(a: TensorClass, b: TensorClass) -> TensorClass:
+    """Brute force over pairs of d-tuples.  Moving t_i into slot i passes the
+    odd factors of s beyond slot i, so each odd t_i against an odd number of
+    them flips the sign; both masks are taken once per tuple."""
     a._check(b)
     g = a.params.g
+    right = [(t, ct, _odd_flags(t, g)) for t, ct in b.terms.items()]
     out: dict[tuple[int, ...], Fraction] = {}
     for s, cs in a.terms.items():
-        for t, ct in b.terms.items():
+        after = _odd_after(s, g)
+        for t, ct, odd in right:
             prod = _tuple_mul(s, t, g)
             if prod is None:
                 continue
             sign, tup = prod
+            if (after & odd).bit_count() & 1:
+                sign = -sign
             _accumulate(out, tup, sign * cs * ct)
     return TensorClass(a.params, out)
 

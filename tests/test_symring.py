@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Mapping
 
 import pytest
@@ -14,6 +14,8 @@ from vortexmoduli.symring import (
     RingParams,
     _decode,
     _encode,
+    _koszul,
+    _normalize_terms,
     _raw_mul_terms,
     eta,
     format_class,
@@ -240,6 +242,15 @@ def test_mixed_integrals_macdonald(d, g):
         assert val == factorial(g) // factorial(g - k), (d, g, k)
 
 
+def test_normal_form_returns_its_argument():
+    # classes are stored in normal form and immutable, so there is nothing
+    # left to reduce; re-encoding the class gives the same one
+    p = RingParams(4, 3)
+    cls = multiply(sigma(p) + xi(p, 2), eta(p) ** 2 - xi(p, 5)).scale(Fraction(-3, 4))
+    assert normal_form(cls) is cls
+    assert CohomologyClass.from_terms(p, cls.terms) == cls
+
+
 def test_normal_form_basis_shape():
     # surviving monomials satisfy eta_power + #xi <= d
     p = RingParams(3, 2)
@@ -435,6 +446,61 @@ def test_normal_form_matches_worklist_reference_with_many_pairs():
         assert CohomologyClass.from_terms(params, terms).terms == want, (params, terms)
         expanded += h + len(s) > d and bool(want)
     assert expanded >= 150
+
+
+def _per_subset_normalize(params: RingParams, terms: dict) -> dict:
+    """Reference: Macdonald's closed formula with the Koszul sign of xi_F
+    against xi_Q * xi_{Q+g} computed for every subset Q on its own."""
+    d, g = params.d, params.g
+    result: dict = {}
+    for (h, s), c in terms.items():
+        if not c:
+            continue
+        if h + s.bit_count() <= d:
+            result[(h, s)] = result.get((h, s), 0) + c
+            continue
+        pairs = s & (s >> g)
+        free = s & ~(pairs | pairs << g)
+        n = pairs.bit_count()
+        k = d - h - free.bit_count() - n
+        if k < 0:
+            continue
+        c *= _koszul(free, pairs | pairs << g) * (-1) ** (n * (n - 1) // 2)
+        sub = pairs
+        while True:
+            q = sub.bit_count()
+            if q <= k:
+                t = sub | sub << g
+                key = (h + n - q, free | t)
+                coeff = c * (-1) ** (k - q + q * (q - 1) // 2) * comb(n - 1 - q, k - q)
+                result[key] = result.get(key, 0) + _koszul(free, t) * coeff
+            if not sub:
+                break
+            sub = (sub - 1) & pairs
+    return result
+
+
+def test_normalize_terms_per_pair_sign():
+    # pairs 1 and 4 (xi_1 xi_6, xi_4 xi_9) and lone factors 3 and 5: the
+    # span (1, 6) holds both lone factors, (4, 9) only xi_5, so only pair 4
+    # carries a sign; counting "some lone factor in the span" instead of
+    # "an odd number" signs pair 1 as well and flips (2, 568) and (3, 40)
+    params = RingParams(6, 5)
+    terms = {(1, 0b1001111010): 1}
+    want = {(2, 568): -1, (2, 106): 1, (3, 40): -1}
+    assert _per_subset_normalize(params, terms) == want
+    assert _normalize_terms(params, terms) == want
+
+    rng = random.Random(1962)
+    for _ in range(300):
+        params = RingParams(rng.randint(2, 10), rng.randint(2, 6))
+        d, g = params.d, params.g
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            s = sum(1 << i for i in rng.sample(range(1, 2 * g + 1), rng.randint(2, 2 * g)))
+            terms[(rng.randint(0, d), s)] = rng.randint(-9, 9)
+        assert _normalize_terms(params, terms) == _per_subset_normalize(params, terms), \
+            (params, terms)
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -140,3 +141,49 @@ def test_permute_factors_signs():
     assert dict(swapped.terms) == {(2, 1): Fraction(-1)}
     with pytest.raises(ValueError):
         to.permute_factors(t, (0, 0))
+
+
+def _pairwise_multiply(a, b):
+    """Reference: the oracle product with the Koszul sign recomputed from
+    the degrees of both tuples for every pair."""
+    g = a.params.g
+    out = {}
+    for s, cs in a.terms.items():
+        for t, ct in b.terms.items():
+            d = len(s)
+            suffix = [0] * (d + 1)
+            for i in range(d - 1, -1, -1):
+                suffix[i] = suffix[i + 1] + to._factor_degree(s[i], g)
+            coeff, tup = 1, []
+            for i in range(d):
+                if to._factor_degree(t[i], g) % 2 and suffix[i + 1] % 2:
+                    coeff = -coeff
+                prod = to._factor_mul(s[i], t[i], g)
+                if prod is None:
+                    break
+                coeff *= prod[0]
+                tup.append(prod[1])
+            else:
+                key = tuple(tup)
+                out[key] = out.get(key, 0) + coeff * cs * ct
+    return {k: c for k, c in out.items() if c}
+
+
+def test_oracle_multiply_matches_pairwise_signs():
+    # sparse seeded tensors: each slot is the unit, an alpha or beta, so
+    # odd and even factors mix and many pairs survive the slot products
+    rng = random.Random(2010)
+    for _ in range(300):
+        params = RingParams(rng.randint(1, 4), rng.randint(1, 3))
+        d, beta = params.d, 2 * params.g + 1
+
+        def tensor():
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                t = tuple(rng.choice((0, 0, beta, rng.randint(1, beta - 1))) for _ in range(d))
+                terms[t] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            return to.TensorClass(params, {t: c for t, c in terms.items() if c})
+
+        a, b = tensor(), tensor()
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert dict(to.oracle_multiply(x, y).terms) == _pairwise_multiply(x, y), (x, y)
