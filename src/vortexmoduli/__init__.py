@@ -18,7 +18,6 @@ from .symring import (
     sigma,
     sigma_j,
     multiply,
-    normal_form,
     integrate,
     pd_sigma0,
     pairing,

@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-One subcommand per module, JSON on stdout, diagnostics on stderr.  Exit
-codes: 0 success, 2 validation error, 3 numerical non-convergence.  Exact
-rationals are serialized as strings "p/q" so nothing is lost on the wire;
-identical inputs to the exact-arithmetic subcommands produce byte-identical
-output.
+One subcommand per module.  Every subcommand prints exactly one strict-JSON
+line on stdout, with sorted keys and no nan or infinity; diagnostics go to
+stderr.  Exit codes: 0 success, 1 a failed ``verify``, 2 validation error,
+3 numerical non-convergence.  Exact rationals are serialized as strings
+"p/q" so nothing is lost on the wire; identical inputs to the
+exact-arithmetic subcommands produce byte-identical output.
 
 Only ``vortex`` and the full ``verify`` import the solver, and with it
 numpy; the other subcommands start without it.  The solver's exceptions,
@@ -39,16 +40,10 @@ def _jsonable(value):
     return value
 
 
-def _emit(payload: dict, as_text: bool) -> None:
-    """Print the payload; a nan or infinity raises ValueError before any
-    output, since it has no strict-JSON form."""
-    if as_text:
-        text = "\n".join("%s: %s" % (key, json.dumps(_jsonable(value), sort_keys=True,
-                                                     allow_nan=False))
-                         for key, value in payload.items())
-    else:
-        text = json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False)
-    print(text)
+def _emit(payload: dict) -> None:
+    """Print the payload as one JSON line; a nan or infinity raises
+    ValueError before any output, since it has no strict-JSON form."""
+    print(json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +112,8 @@ def cmd_stability(args) -> dict:
             "critical_tau": rep.critical_tau}
 
 
-def cmd_strata(args):
+def cmd_strata(args) -> dict:
     rows = strata.stratification_report(args.d, args.r)
-    if args.text:
-        widths = ("partition", "num_parts", "dim", "codim")
-        print("%-20s %9s %5s %6s  tower" % widths)
-        for row in rows:
-            print("%-20s %9d %5d %6d  %s" % (
-                str(row["partition"]), row["num_parts"], row["dim"],
-                row["codim"], row["tower"]))
-        return None
     return {"d": args.d, "r": args.r, "strata": rows}
 
 
@@ -193,24 +180,14 @@ def cmd_verify(args) -> dict:
     results = acceptance.run_all(fast=args.fast)
     for res in results:
         print(res.line(), file=sys.stderr)
-    payload = {
+    return {
         "passed": all(r.passed for r in results),
         "criteria": [{"index": r.index, "name": r.name, "passed": r.passed,
                       "detail": r.detail} for r in results],
     }
-    return payload
 
 
 # ---------------------------------------------------------------------------
-
-
-def _add_format_flags(parser, default=argparse.SUPPRESS):
-    # registered on the main parser (default False) and on every subparser
-    # (default SUPPRESS) so the toggle works on either side of the subcommand
-    parser.add_argument("--text", dest="text", action="store_true",
-                        default=default, help="plain text output instead of JSON")
-    parser.add_argument("--json", dest="text", action="store_false",
-                        default=argparse.SUPPRESS, help="JSON output (default)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vortexmoduli",
         description="vortex moduli spaces: exact cohomology, embeddings, "
                     "strata, and the vortex equation on a torus")
-    _add_format_flags(parser, default=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ring", help="normal form and integral of a ring expression")
@@ -227,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="integrate through the tensor-power oracle")
-    _add_format_flags(p)
     p.set_defaults(func=cmd_ring)
 
     p = sub.add_parser("kahler", help="curve degrees, Fubini-Study coefficients, volumes")
@@ -237,13 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e2", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--vol", type=float)
-    _add_format_flags(p)
     p.set_defaults(func=cmd_kahler)
 
     p = sub.add_parser("embed", help="Grassmannian embedding dimensions")
     for flag in ("--n", "--r", "--d", "--g", "--ell", "--delta"):
         p.add_argument(flag, type=int, required=True)
-    _add_format_flags(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("stability", help="stability margin and critical tau")
@@ -252,13 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vol", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, default=1)
-    _add_format_flags(p)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("strata", help="partition strata of the local moduli space")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    _add_format_flags(p)
     p.set_defaults(func=cmd_strata)
 
     p = sub.add_parser("genus0", help="embedding and sweeps on the projective line")
@@ -266,19 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("d0", "d1"))
     p.add_argument("--d", type=int)
     p.add_argument("--delta", type=int)
-    _add_format_flags(p)
     p.set_defaults(func=cmd_genus0)
 
     p = sub.add_parser("vortex", help="solve the vortex equation on a torus")
     p.add_argument("--config", required=True, help="key-value problem file")
     p.add_argument("--dump-u", help="write the scalar field grid to this path")
-    _add_format_flags(p)
     p.set_defaults(func=cmd_vortex)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--fast", action="store_true",
                    help="exact-arithmetic checks only (skip the PDE runs)")
-    _add_format_flags(p)
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -303,8 +271,7 @@ def main(argv=None) -> int:
         sys.argv[1:] if argv is None else list(argv)))
     try:
         payload = args.func(args)
-        if payload is not None:
-            _emit(payload, args.text)
+        _emit(payload)
     except NonConvergenceError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3

@@ -43,7 +43,6 @@ __all__ = [
     "ReconstructionError",
     "embed_pair",
     "plucker",
-    "projective_normalize",
     "reconstruct",
     "curve_degree",
     "plucker_sweep",
@@ -359,8 +358,6 @@ def embed_pair(pair: BinaryFormPair, delta: int) -> SubspaceBasis:
     """
     if delta < 1:
         raise ParameterError("delta must be >= 1")
-    if pair.r * (delta + 1) - pair.d < 0:
-        raise ParameterError("delta below usable range: expected dimension negative")
     if not pair.has_full_rank():
         raise RankDeficientError("pair violates the generic rank invariant")
     if any(dg > delta for dg in pair.row_degrees()):
@@ -385,15 +382,6 @@ def plucker(basis: SubspaceBasis) -> tuple:
     if not basis.basis:
         raise ParameterError("Plucker coordinates need a nonempty basis")
     return tuple(_maximal_minors(basis.basis))
-
-
-def projective_normalize(coords: Sequence[Fraction]) -> tuple:
-    """Scale so the first nonzero coordinate is 1 (for comparing points)."""
-    values = [_rational("coordinate", v) for v in coords]
-    for c in values:
-        if c:
-            return tuple(v / c for v in values)
-    raise ParameterError("zero vector has no projective normalization")
 
 
 def reconstruct(basis: SubspaceBasis, n: int, delta: int) -> BinaryFormPair:

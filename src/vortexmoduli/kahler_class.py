@@ -43,10 +43,6 @@ class KahlerClass2:
     c_eta: Scalar
     c_sigma: Scalar
 
-    @property
-    def exact(self) -> bool:
-        return not (isinstance(self.c_eta, float) or isinstance(self.c_sigma, float))
-
 
 @dataclass(frozen=True)
 class CurveDegrees:
@@ -162,7 +158,7 @@ def symplectic_volume(cls: KahlerClass2, d: int, g: int) -> Scalar:
     for _ in range(k_max):
         eta_powers.append(multiply(eta_powers[-1], e))
     sigma_power = unit(params)
-    total = Fraction(0) if cls.exact else 0.0
+    total = 0  # the k = 0 term, weight 1, sets the type: Fraction or float
     for k in range(0, k_max + 1):
         if k:
             sigma_power = multiply(sigma_power, s)

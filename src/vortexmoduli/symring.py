@@ -64,7 +64,6 @@ __all__ = [
     "sigma_j",
     "sigma",
     "multiply",
-    "normal_form",
     "integrate",
     "pd_sigma0",
     "pairing",
@@ -332,11 +331,6 @@ def multiply(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     a._check(b)
     return CohomologyClass(a.params, _normalize_terms(a.params, _raw_mul_terms(a.keys, b.keys)),
                            a.den * b.den)
-
-
-def normal_form(a: CohomologyClass) -> CohomologyClass:
-    """Identity: classes are stored in normal form and never change."""
-    return a
 
 
 def integrate(a: CohomologyClass) -> Fraction:

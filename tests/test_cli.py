@@ -256,9 +256,6 @@ def test_strata_subcommand(capsys):
     assert code == 0
     rows = json.loads(out)["strata"]
     assert [r["dim"] for r in rows] == [3, 4]
-    code, out, _ = run_cli(capsys, "--text", "strata", "--d", "2", "--r", "2")
-    assert code == 0
-    assert "codim" in out.splitlines()[0]
 
 
 def test_genus0_subcommand(capsys):
@@ -305,6 +302,21 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["strata", "--bogus", "1"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--text", "--json"])
+@pytest.mark.parametrize("argv", [
+    ("strata", "--d", "2", "--r", "2"),
+    ("ring", "eta^2", "--d", "2", "--g", "1"),
+], ids=["strata", "ring"])
+def test_output_format_flags_are_rejected(capsys, flag, argv):
+    # stdout is JSON whatever the options, so there is no format to choose,
+    # on either side of the subcommand
+    for full in ((flag,) + argv, argv + (flag,)):
+        with pytest.raises(SystemExit) as err:
+            main(list(full))
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_vortex_subcommand(tmp_path, capsys):
@@ -362,6 +374,34 @@ _NUMPY_PROBE = ("import sys\n"
                 "code = main(sys.argv[1:])\n"
                 "print('numpy' in sys.modules)\n"
                 "sys.exit(code)\n")
+
+
+def _reject_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ring", "2*eta^2 - 1/3*sigma*eta", "--d", "2", "--g", "2"),
+    ("kahler", "--d", "3", "--g", "2", "--elldelta", "7"),
+    ("kahler", "--d", "2", "--g", "2", "--elldelta", "3",
+     "--e2", "1.0", "--tau", repr(2 / 3), "--vol", repr(12 * pi)),
+    ("embed", "--n", "1", "--r", "1", "--d", "2", "--g", "2", "--ell", "1",
+     "--delta", "5"),
+    ("stability", "--e2", "1", "--tau", "1", "--vol", "30", "--d", "2"),
+    ("strata", "--d", "3", "--r", "2"),
+    ("genus0", "--s", "1,0,-1"),
+    ("genus0", "--family", "d1", "--d", "3", "--delta", "5"),
+    ("vortex",),
+    ("verify", "--fast"),
+], ids=["ring", "kahler", "kahler-physics", "embed", "stability", "strata",
+        "genus0-s", "genus0-family", "vortex", "verify-fast"])
+def test_stdout_is_one_strict_json_line(tmp_path, capsys, argv):
+    if argv == ("vortex",):
+        argv += ("--config", _vortex_config(tmp_path))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)
 
 
 @pytest.mark.parametrize("argv,loads_numpy", [

@@ -34,7 +34,6 @@ def test_l2_class_values():
     cls = l2_class(PhysicalParams(4.0, 0.0, 1.0), 0)
     assert cls.c_eta == 0.0
     assert cls.c_sigma == pytest.approx(pi ** 2 / 2)
-    assert not cls.exact
 
 
 def test_l2_eta_sign_flips_at_critical_tau():
@@ -65,7 +64,6 @@ def test_curve_degrees_values():
 def test_fs_coefficients_closed_form():
     cls = fs_coefficients(2, 2, curve_degrees(2, 2, 5))
     assert (cls.c_eta, cls.c_sigma) == (Fraction(2), Fraction(1))
-    assert cls.exact
     for d in range(2, 7):
         for g in range(1, 4):
             for elldelta in range(d + g - 1, 13):
@@ -157,3 +155,10 @@ def test_symplectic_volume_beyond_oracle_reach():
 def test_symplectic_volume_float_path():
     vol = symplectic_volume(KahlerClass2(1.0, 1.0), 2, 1)
     assert vol == pytest.approx(1.5)
+
+
+def test_symplectic_volume_type_follows_coefficients():
+    # exact coefficients give an exact volume, and one float coefficient a float
+    for c_eta, c_sigma, kind in ((Fraction(0), Fraction(1), Fraction), (1, 1, Fraction),
+                                 (Fraction(1, 2), 1.5, float), (0.0, Fraction(1), float)):
+        assert type(symplectic_volume(KahlerClass2(c_eta, c_sigma), 3, 2)) is kind
