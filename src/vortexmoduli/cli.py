@@ -251,23 +251,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ring_expression_guard(argv: list) -> list:
+def _dash_argument_guard(argv: list) -> list:
     """argparse reads an argument that starts with '-' as an option unless
-    it contains a space, and parse_class ignores whitespace.  So after the
-    ``ring`` subcommand one space goes in front of every single-dash
-    argument other than -h (ring's other options are all long), which keeps
-    an expression such as "-5/2*eta" positional."""
+    it contains a space, and both parse_class and ``genus0 --s`` ignore
+    whitespace.  So one space goes in front of every single-dash argument
+    other than -h after the ``ring`` subcommand (ring's other options are
+    all long), and in front of the value after ``genus0``'s ``--s``.  That
+    keeps an expression such as "-5/2*eta" positional and a form such as
+    "-1,2,-3" the value of ``--s``."""
     command = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
-    if command is None or argv[command] != "ring":
+    if command is None or argv[command] not in ("ring", "genus0"):
         return argv
+    ring = argv[command] == "ring"
     return argv[:command + 1] + [
-        " " + a if a.startswith("-") and not a.startswith("--") and a != "-h" else a
-        for a in argv[command + 1:]]
+        " " + a if a.startswith("-") and not a.startswith("--") and a != "-h"
+        and (ring or before == "--s") else a
+        for before, a in zip(argv[command:], argv[command + 1:])]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_ring_expression_guard(
+    args = parser.parse_args(_dash_argument_guard(
         sys.argv[1:] if argv is None else list(argv)))
     try:
         payload = args.func(args)

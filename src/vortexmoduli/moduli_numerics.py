@@ -48,12 +48,17 @@ class StabilityError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """A solve stopped without reaching its residual tolerance."""
+    """A solve stopped without reaching its residual tolerance.
 
-    def __init__(self, message: str, residual: float, iterations: int):
+    ``cg_iterations`` holds the CG steps of each Newton step attempted, the
+    one whose line search stalled included."""
+
+    def __init__(self, message: str, residual: float, iterations: int,
+                 cg_iterations: tuple = ()):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.cg_iterations = cg_iterations
 
 
 def require_finite(name: str, value: float) -> float:

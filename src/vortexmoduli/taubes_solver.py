@@ -29,9 +29,16 @@ grid.  Each delta source is replaced by a periodic Gaussian bump whose
 hold at the discrete level up to the Newton residual.  Linearized steps are
 solved by preconditioned conjugate gradients (the in-module recurrence
 ``_pcg``, run on the 2-D grids) for the positive-definite operator
--Lap + e^2*tau*e^u, with the constant-coefficient inverse applied in
-Fourier space as the preconditioner.  Damping is residual backtracking
-with factor 1/2 down to steps of 2^-10.
+A = -Lap + W with W = e^2*tau*e^u, with the constant-coefficient inverse
+z = (-Lap + s)^-1 r, s = mean(W), applied in Fourier space as the
+preconditioner.  Its symbol is the exact eigenvalue of the same periodic
+five-point Laplacian, so -Lap z = r - s*z and
+
+    A z = r + (W - s) z:
+
+each CG step gets A z from the preconditioner's output with elementwise
+operations, and no CG step applies the stencil.  Damping is residual
+backtracking with factor 1/2 down to steps of 2^-10.
 
 A solve owns its grids; independent problems can run concurrently.  All
 reductions are plain numpy sums over fixed-shape arrays, so repeated runs
@@ -148,7 +155,8 @@ class VortexProblem:
 
 @dataclass(frozen=True)
 class TorusVortexState:
-    """Converged scalar field with the derived gauge-invariant scalars."""
+    """Converged scalar field with the derived gauge-invariant scalars;
+    ``cg_iterations`` holds the CG steps of each Newton step, in order."""
 
     u: np.ndarray
     residual_norm: float
@@ -157,6 +165,7 @@ class TorusVortexState:
     higgs_l2: float
     sup_phi2: float
     max_u: float
+    cg_iterations: tuple = ()
 
     def __post_init__(self):
         self.u.setflags(write=False)
@@ -196,30 +205,50 @@ def _source_grid(prob: VortexProblem) -> np.ndarray:
     return total
 
 
-def _pcg(apply_a, apply_m, b: np.ndarray, rtol: float) -> np.ndarray:
-    """Preconditioned conjugate gradients for A x = b from x = 0.
+def _pcg(dweight: np.ndarray, precondition, b: np.ndarray, rtol: float) -> tuple:
+    """Preconditioned conjugate gradients for A x = b from x = 0, where
+    A = -Lap + W and ``precondition`` applies (-Lap + s)^-1 exactly in the
+    stencil's eigenbasis; ``dweight`` is W - s.  Returns x and the number
+    of CG steps taken.  b is overwritten: it serves as the residual r.
 
-    Stops when ||r|| < rtol*||b||, tested before each step, or after
-    CG_MAX_ITER steps.  b must be nonzero, as a Newton residual above tol
-    is.  Dot products are np.dot on flattened views, so the iterates do
-    not depend on the grid shape.
+    A z = r + dweight*z for z = precondition(r), so q = A p follows from
+    p = z + beta*p by q = A z + beta*q, with no stencil; beta = 0 on the
+    first step.  p and q are updated in place, and z is turned into A z in
+    place once p has used it and freed before the next preconditioner call,
+    so the loop holds x, r, p and q and at most one z.  In exact arithmetic
+    the iterates are those of CG with q = A p computed directly.
+
+    Stops when ||r|| < rtol*||b||, with b as passed in, tested before each
+    step, or after CG_MAX_ITER steps.  b must be nonzero, as a Newton
+    residual above tol is.  Dot products are np.dot on flattened views, so
+    the iterates do not depend on the grid shape.
     """
     x = np.zeros_like(b)
-    r = b.copy()
+    r = b
+    p = np.zeros_like(b)
+    q = np.zeros_like(b)
     threshold = rtol * float(np.linalg.norm(b))
-    rho_prev = p = None
+    rho_prev = None
+    steps = 0
     for _ in range(CG_MAX_ITER):
         if np.linalg.norm(r) < threshold:
             break
-        z = apply_m(r)
+        z = precondition(r)
         rho = np.dot(r.ravel(), z.ravel())
-        p = z if p is None else p * (rho / rho_prev) + z
-        q = apply_a(p)
+        beta = 0.0 if rho_prev is None else rho / rho_prev
+        p *= beta
+        p += z
+        z *= dweight
+        z += r
+        q *= beta
+        q += z
         alpha = rho / np.dot(p.ravel(), q.ravel())
+        del z  # so the next preconditioner call does not overlap it
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
-    return x
+        steps += 1
+    return x, steps
 
 
 def solve(prob: VortexProblem) -> TorusVortexState:
@@ -238,29 +267,41 @@ def solve(prob: VortexProblem) -> TorusVortexState:
     symbol = _fourier_symbol(torus)
     shape = (torus.N1, torus.N2)
 
-    def fft_solve(rhs: np.ndarray, shift: float) -> np.ndarray:
-        return np.fft.irfft2(np.fft.rfft2(rhs) / (symbol + shift), s=shape)
+    def fft_solve(rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
+        coeffs = np.fft.rfft2(rhs)
+        coeffs /= denom
+        return np.fft.irfft2(coeffs, s=shape)
 
     def residual(u: np.ndarray) -> np.ndarray:
         return _laplacian(u, h1, h2) - e2tau * (np.exp(u) - 1.0) - source
 
+    def newton_direction(u: np.ndarray, res: np.ndarray, rtol: float) -> tuple:
+        # the linearized weight W = e2*tau*e^u, held as W - mean(W); it and
+        # the preconditioner's denominator are freed before the line search
+        dweight = np.exp(u)
+        dweight *= e2tau
+        shift = float(dweight.mean())
+        dweight -= shift
+        denom = symbol + shift
+        return _pcg(dweight, lambda v: fft_solve(v, denom), res, rtol)
+
     # initial guess: constant-coefficient linearization  (Lap - e2*tau) u = S
-    u = -fft_solve(source, e2tau)
+    u = -fft_solve(source, symbol + e2tau)
     res = residual(u)
     rnorm = float(np.max(np.abs(res)))
     rnorm0 = max(rnorm, 1.0)
     iterations = 0
+    cg_iterations = []
 
     while rnorm > prob.tol:
         if iterations >= prob.max_iter:
             raise NonConvergenceError(
                 "no convergence within %d Newton iterations (residual %.3g)"
-                % (prob.max_iter, rnorm), rnorm, iterations)
-        weight = e2tau * np.exp(u)
-        shift = float(weight.mean())
+                % (prob.max_iter, rnorm), rnorm, iterations, tuple(cg_iterations))
         rtol = max(1e-12, min(1e-3, 0.1 * rnorm / rnorm0))
-        step = _pcg(lambda v: -_laplacian(v, h1, h2) + weight * v,
-                    lambda v: fft_solve(v, shift), res, rtol)
+        # CG overwrites res; the line search needs only rnorm
+        step, steps = newton_direction(u, res, rtol)
+        cg_iterations.append(steps)
 
         alpha = 1.0
         while True:
@@ -274,7 +315,7 @@ def solve(prob: VortexProblem) -> TorusVortexState:
             if alpha < MIN_NEWTON_STEP:
                 raise NonConvergenceError(
                     "line search stalled at residual %.3g" % rnorm,
-                    rnorm, iterations)
+                    rnorm, iterations, tuple(cg_iterations))
         iterations += 1
 
     phi2 = prob.tau * np.exp(u)
@@ -288,6 +329,7 @@ def solve(prob: VortexProblem) -> TorusVortexState:
         higgs_l2=higgs_l2,
         sup_phi2=float(phi2.max()),
         max_u=float(u.max()),
+        cg_iterations=tuple(cg_iterations),
     )
 
 

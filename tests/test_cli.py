@@ -45,6 +45,16 @@ def test_ring_accepts_leading_minus(capsys, expr, d, g, normal_form):
     assert json.loads(out)["normal_form"] == normal_form
 
 
+@pytest.mark.parametrize("form", ["-1,2,-3", "-1/2,0,1", "-1"])
+def test_genus0_accepts_leading_minus(capsys, form):
+    # "--s X" reads the same as "--s=X" when X starts with a minus sign
+    code, out, err = run_cli(capsys, "genus0", "--s", form, "--delta", "4")
+    code2, out2, _ = run_cli(capsys, "genus0", "--s=" + form, "--delta", "4")
+    assert (code, err) == (0, "")
+    assert code2 == 0
+    assert out == out2
+
+
 def _fresh_python(code, *args):
     """Run ``code`` in a new interpreter, which has loaded nothing the test
     process has; pytest itself may have imported numpy."""

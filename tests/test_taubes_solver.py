@@ -239,15 +239,17 @@ def test_write_field_format(tmp_path):
     np.testing.assert_allclose(grid, state.u)
 
 
-def _cg_operators(seed, grid=64, decades=0.5):
-    """The solver's linearized operator and Fourier preconditioner on a
-    seeded positive weight spread over 10^-decades..10^decades, as grid
-    functions, with a seeded right-hand side."""
-    torus = TorusSpec(7.0, 6.0, grid, grid)
+def _cg_operators(seed, shape=(64, 64), decades=0.5):
+    """The solver's linearized operator -Lap + W, as a stencil, and its
+    Fourier preconditioner (-Lap + s)^-1 on a 7 x 6 torus, for a seeded
+    positive weight W spread over 10^-decades..10^decades and s = mean(W),
+    with W - s and a seeded right-hand side."""
+    torus = TorusSpec(7.0, 6.0, *shape)
     h1, h2 = torus.spacing
     rng = np.random.default_rng(seed)
-    weight = 10.0 ** rng.uniform(-decades, decades, (grid, grid))
-    denom = _fourier_symbol(torus) + float(weight.mean())
+    weight = 10.0 ** rng.uniform(-decades, decades, shape)
+    shift = float(weight.mean())
+    denom = _fourier_symbol(torus) + shift
 
     def apply_a(v):
         return -_laplacian(v, h1, h2) + weight * v
@@ -255,7 +257,17 @@ def _cg_operators(seed, grid=64, decades=0.5):
     def apply_m(v):
         return np.fft.irfft2(np.fft.rfft2(v) / denom, s=v.shape)
 
-    return apply_a, apply_m, rng.standard_normal((grid, grid))
+    return apply_a, apply_m, weight - shift, rng.standard_normal(shape)
+
+
+def test_preconditioner_output_gives_the_operator():
+    # A z = r + (W - s) z for z = (-Lap + s)^-1 r: the identity that lets
+    # _pcg skip the stencil, on a non-square grid of a non-square torus
+    apply_a, apply_m, dweight, r = _cg_operators(seed=5, shape=(64, 48), decades=2.0)
+    z = apply_m(r)
+    want = apply_a(z)
+    got = r + dweight * z
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("rtol,decades,capped", [
@@ -266,22 +278,51 @@ def _cg_operators(seed, grid=64, decades=0.5):
     # to the iteration cap
     (1e-300, 6.0, True),
 ], ids=["1e-3", "1e-8", "1e-12", "iteration-cap"])
-def test_pcg_is_bit_identical_to_reference_cg(rtol, decades, capped):
-    # the in-module recurrence against scipy.sparse.linalg.cg on the same
-    # operator: every bit of every entry agrees
+def test_pcg_matches_reference_cg(rtol, decades, capped):
+    # the in-module recurrence, which takes A p from the preconditioner's
+    # output, against scipy.sparse.linalg.cg applying the stencil: the same
+    # iteration count and the same solution up to round-off
     from scipy.sparse import linalg
-    apply_a, apply_m, b = _cg_operators(seed=11, decades=decades)
+    apply_a, apply_m, dweight, b = _cg_operators(seed=11, decades=decades)
     shape, size = b.shape, b.size
     op = linalg.LinearOperator((size, size), dtype=float,
                                matvec=lambda v: apply_a(v.reshape(shape)).ravel())
     pre = linalg.LinearOperator((size, size), dtype=float,
                                 matvec=lambda v: apply_m(v.reshape(shape)).ravel())
+    reference_steps = []
     want, info = linalg.cg(op, b.ravel(), rtol=rtol, atol=0.0, M=pre,
-                           maxiter=CG_MAX_ITER)
+                           maxiter=CG_MAX_ITER,
+                           callback=lambda xk: reference_steps.append(1))
     assert info == (CG_MAX_ITER if capped else 0)
-    got = _pcg(apply_a, apply_m, b, rtol)
+    calls = []
+
+    def precondition(v):
+        calls.append(1)
+        return apply_m(v)
+
+    got, steps = _pcg(dweight, precondition, b.copy(), rtol)
     assert got.shape == shape and np.isfinite(got).all()
-    assert got.tobytes() == want.tobytes()
+    assert steps == len(calls) == len(reference_steps)
+    assert np.linalg.norm(got.ravel() - want) <= 1e-12 * np.linalg.norm(want)
+    if not capped:
+        assert np.linalg.norm(b - apply_a(got)) <= rtol * np.linalg.norm(b)
+
+
+def test_cg_iterations_per_newton_step():
+    # the acceptance two-vortex layout at 256^2: the CG step counts of the
+    # stencil-free recurrence are those the stencil matvec took
+    side = sqrt(12 * pi)
+    torus = TorusSpec(side, side, 256, 256)
+    prob = VortexProblem(torus, ((side / 4, side / 3, 1), (0.7 * side, 0.62 * side, 1)),
+                         e2=1.0, tau=1.0)
+    state = solve(prob)
+    assert state.iterations == 5
+    assert state.cg_iterations == (3, 4, 4, 6, 9)
+    assert solve(square_problem(0, 2.0)).cg_iterations == ()
+    with pytest.raises(NonConvergenceError) as err:
+        solve(VortexProblem(torus, prob.zeros, e2=1.0, tau=1.0, max_iter=2))
+    assert err.value.iterations == 2
+    assert err.value.cg_iterations == (3, 4)
 
 
 @st.composite
