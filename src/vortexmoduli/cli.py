@@ -2,10 +2,11 @@
 
 One subcommand per module.  Every subcommand prints exactly one strict-JSON
 line on stdout, with sorted keys and no nan or infinity; diagnostics go to
-stderr.  Exit codes: 0 success, 1 a failed ``verify``, 2 validation error,
-3 numerical non-convergence.  Exact rationals are serialized as strings
-"p/q" so nothing is lost on the wire; identical inputs to the
-exact-arithmetic subcommands produce byte-identical output.
+stderr.  Exit codes: 0 success, 1 a failed ``verify``, 2 validation error
+or a ``vortex`` grid too large to allocate (``MemoryError``), 3 numerical
+non-convergence.  Exact rationals are serialized as strings "p/q" so
+nothing is lost on the wire; identical inputs to the exact-arithmetic
+subcommands produce byte-identical output.
 
 Only ``vortex`` and the full ``verify`` import the solver, and with it
 numpy; the other subcommands start without it.  The solver's exceptions,
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         detail = {"error": str(exc)}
         if isinstance(exc, StabilityError):
             detail["critical_tau"] = exc.critical_tau

@@ -40,9 +40,24 @@ each CG step gets A z from the preconditioner's output with elementwise
 operations, and no CG step applies the stencil.  Damping is residual
 backtracking with factor 1/2 down to steps of 2^-10.
 
-A solve owns its grids; independent problems can run concurrently.  All
-reductions are plain numpy sums over fixed-shape arrays, so repeated runs
-on identical inputs are deterministic.
+Workspace: a solve allocates its arrays once, and every Newton step, CG
+step and line-search trial runs in them.  They come to ten grids: the
+source, seven grids u, res, x, p, q, z and spare, the complex rfft2
+coefficients (one grid), and the Fourier symbol and the preconditioner's
+denominator (half a grid each).  x is the Newton step; res holds the
+residual, which CG then consumes as its r; spare holds W - s during CG
+and the trial field u + alpha*x in the line search, and an accepted trial
+swaps spare and u.  p, q and z are CG's and, between CG runs, the
+Laplacian's and the residual's scratch.  FFTs write into the coefficient
+array and the output grid, and the Laplacian is built from slices.  Each
+in-place sequence runs the operations of the plain numpy expression it
+computes, in the same order, so its result is bit-identical to that
+expression's.
+
+A solve owns its workspace, and no array outlives it but the returned u;
+independent problems can run concurrently.  All reductions are plain
+numpy sums over fixed-shape arrays, so repeated runs on identical inputs
+are deterministic.
 
 ``StabilityError`` and ``NonConvergenceError`` are defined in
 ``moduli_numerics`` and re-exported here, so code that only catches them
@@ -171,9 +186,27 @@ class TorusVortexState:
         self.u.setflags(write=False)
 
 
-def _laplacian(u: np.ndarray, h1: float, h2: float) -> np.ndarray:
-    return ((np.roll(u, 1, axis=0) + np.roll(u, -1, axis=0) - 2.0 * u) / (h1 * h1)
-            + (np.roll(u, 1, axis=1) + np.roll(u, -1, axis=1) - 2.0 * u) / (h2 * h2))
+def _laplacian(u: np.ndarray, h1: float, h2: float, out: np.ndarray, work: np.ndarray,
+               twice: np.ndarray) -> np.ndarray:
+    """Five-point periodic Laplacian of u, written into ``out``; ``work``
+    and ``twice`` are scratch.  All three have u's shape and none is u.
+    Neighbour sums are taken from slices, and the operations run in the
+    order of (roll(u, 1, 0) + roll(u, -1, 0) - 2u) / h1^2 +
+    (roll(u, 1, 1) + roll(u, -1, 1) - 2u) / h2^2, so the result is
+    bit-identical to that form."""
+    np.multiply(u, 2.0, out=twice)
+    np.add(u[:-2], u[2:], out=out[1:-1])
+    np.add(u[-1], u[1], out=out[0])
+    np.add(u[-2], u[0], out=out[-1])
+    out -= twice
+    out /= h1 * h1
+    np.add(u[:, :-2], u[:, 2:], out=work[:, 1:-1])
+    np.add(u[:, -1], u[:, 1], out=work[:, 0])
+    np.add(u[:, -2], u[:, 0], out=work[:, -1])
+    work -= twice
+    work /= h2 * h2
+    out += work
+    return out
 
 
 def _fourier_symbol(torus: TorusSpec) -> np.ndarray:
@@ -195,45 +228,52 @@ def _source_grid(prob: VortexProblem) -> np.ndarray:
     width = prob.resolved_reg_width()
     cell = h1 * h2
     total = np.zeros((torus.N1, torus.N2))
+    bump = np.empty_like(total)
     for (zx, zy, m) in prob.zeros:
         dx = np.mod(x - zx + 0.5 * torus.L1, torus.L1) - 0.5 * torus.L1
         dy = np.mod(y - zy + 0.5 * torus.L2, torus.L2) - 0.5 * torus.L2
-        r2 = dx[:, None] ** 2 + dy[None, :] ** 2
-        bump = np.exp(-r2 / (2.0 * width * width))
+        np.add(dx[:, None] ** 2, dy[None, :] ** 2, out=bump)
+        np.negative(bump, out=bump)
+        bump /= 2.0 * width * width
+        np.exp(bump, out=bump)
         mass = bump.sum() * cell
-        total += (4.0 * pi * m / mass) * bump
+        bump *= 4.0 * pi * m / mass
+        total += bump
     return total
 
 
-def _pcg(dweight: np.ndarray, precondition, b: np.ndarray, rtol: float) -> tuple:
+def _pcg(dweight: np.ndarray, precondition, r: np.ndarray, rtol: float,
+         x: np.ndarray, p: np.ndarray, q: np.ndarray, z: np.ndarray) -> int:
     """Preconditioned conjugate gradients for A x = b from x = 0, where
-    A = -Lap + W and ``precondition`` applies (-Lap + s)^-1 exactly in the
-    stencil's eigenbasis; ``dweight`` is W - s.  Returns x and the number
-    of CG steps taken.  b is overwritten: it serves as the residual r.
+    A = -Lap + W and ``precondition(r, z)`` writes (-Lap + s)^-1 r into z,
+    exactly in the stencil's eigenbasis.  Returns the number of CG steps.
 
-    A z = r + dweight*z for z = precondition(r), so q = A p follows from
-    p = z + beta*p by q = A z + beta*q, with no stencil; beta = 0 on the
-    first step.  p and q are updated in place, and z is turned into A z in
-    place once p has used it and freed before the next preconditioner call,
-    so the loop holds x, r, p and q and at most one z.  In exact arithmetic
-    the iterates are those of CG with q = A p computed directly.
+    Workspace: six grids the caller owns, and the loop allocates none.
+    ``dweight`` is W - s (the solver's spare grid) and is only read.  r
+    holds b on entry and is the residual from then on (the solver's res).
+    x receives the solution; x, p and q are zeroed on entry, so they may
+    hold anything.  z holds the preconditioner's output, which becomes
+    A z = r + dweight*z once p = z + beta*p has used it, so q = A p
+    follows by q = A z + beta*q with no stencil (beta = 0 on the first
+    step); z then holds alpha*p and alpha*q for the updates of x and r.
+    In exact arithmetic the iterates are those of CG with q = A p computed
+    directly.
 
-    Stops when ||r|| < rtol*||b||, with b as passed in, tested before each
-    step, or after CG_MAX_ITER steps.  b must be nonzero, as a Newton
-    residual above tol is.  Dot products are np.dot on flattened views, so
-    the iterates do not depend on the grid shape.
+    Stops when ||r|| < rtol*||b||, tested before each step, or after
+    CG_MAX_ITER steps.  b must be nonzero, as a Newton residual above tol
+    is.  Dot products are np.dot on flattened views, so the iterates do
+    not depend on the grid shape.
     """
-    x = np.zeros_like(b)
-    r = b
-    p = np.zeros_like(b)
-    q = np.zeros_like(b)
-    threshold = rtol * float(np.linalg.norm(b))
+    x.fill(0.0)
+    p.fill(0.0)
+    q.fill(0.0)
+    threshold = rtol * float(np.linalg.norm(r))
     rho_prev = None
     steps = 0
     for _ in range(CG_MAX_ITER):
         if np.linalg.norm(r) < threshold:
             break
-        z = precondition(r)
+        precondition(r, z)
         rho = np.dot(r.ravel(), z.ravel())
         beta = 0.0 if rho_prev is None else rho / rho_prev
         p *= beta
@@ -243,12 +283,13 @@ def _pcg(dweight: np.ndarray, precondition, b: np.ndarray, rtol: float) -> tuple
         q *= beta
         q += z
         alpha = rho / np.dot(p.ravel(), q.ravel())
-        del z  # so the next preconditioner call does not overlap it
-        x += alpha * p
-        r -= alpha * q
+        np.multiply(p, alpha, out=z)
+        x += z
+        np.multiply(q, alpha, out=z)
+        r -= z
         rho_prev = rho
         steps += 1
-    return x, steps
+    return steps
 
 
 def solve(prob: VortexProblem) -> TorusVortexState:
@@ -265,30 +306,35 @@ def solve(prob: VortexProblem) -> TorusVortexState:
     e2tau = prob.e2 * prob.tau
     source = _source_grid(prob)
     symbol = _fourier_symbol(torus)
-    shape = (torus.N1, torus.N2)
+    # the workspace, described in the module docstring
+    u, res, x, p, q, z, spare = (np.empty_like(source) for _ in range(7))
+    coeffs = np.empty(symbol.shape, dtype=complex)
+    denom = np.empty_like(symbol)
 
-    def fft_solve(rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
-        coeffs = np.fft.rfft2(rhs)
-        coeffs /= denom
-        return np.fft.irfft2(coeffs, s=shape)
+    def precondition(rhs: np.ndarray, out: np.ndarray) -> None:
+        # out = irfft2(rfft2(rhs) / denom), by the steps numpy's irfft2 runs
+        np.fft.rfft2(rhs, out=coeffs)
+        np.divide(coeffs, denom, out=coeffs)
+        np.fft.ifft(coeffs, axis=0, out=coeffs)
+        np.fft.irfft(coeffs, n=torus.N2, axis=1, out=out)
 
-    def residual(u: np.ndarray) -> np.ndarray:
-        return _laplacian(u, h1, h2) - e2tau * (np.exp(u) - 1.0) - source
-
-    def newton_direction(u: np.ndarray, res: np.ndarray, rtol: float) -> tuple:
-        # the linearized weight W = e2*tau*e^u, held as W - mean(W); it and
-        # the preconditioner's denominator are freed before the line search
-        dweight = np.exp(u)
-        dweight *= e2tau
-        shift = float(dweight.mean())
-        dweight -= shift
-        denom = symbol + shift
-        return _pcg(dweight, lambda v: fft_solve(v, denom), res, rtol)
+    def residual_norm(v: np.ndarray) -> float:
+        # res = Lap(v) - e2*tau*(e^v - 1) - source, with p, q and z as
+        # scratch; ufuncs with out=, as `res -= z` would make res local here
+        _laplacian(v, h1, h2, res, p, q)
+        np.exp(v, out=z)
+        np.subtract(z, 1.0, out=z)
+        np.multiply(z, e2tau, out=z)
+        np.subtract(res, z, out=res)
+        np.subtract(res, source, out=res)
+        np.abs(res, out=z)
+        return float(z.max())
 
     # initial guess: constant-coefficient linearization  (Lap - e2*tau) u = S
-    u = -fft_solve(source, symbol + e2tau)
-    res = residual(u)
-    rnorm = float(np.max(np.abs(res)))
+    np.add(symbol, e2tau, out=denom)
+    precondition(source, u)
+    np.negative(u, out=u)
+    rnorm = residual_norm(u)
     rnorm0 = max(rnorm, 1.0)
     iterations = 0
     cg_iterations = []
@@ -299,17 +345,24 @@ def solve(prob: VortexProblem) -> TorusVortexState:
                 "no convergence within %d Newton iterations (residual %.3g)"
                 % (prob.max_iter, rnorm), rnorm, iterations, tuple(cg_iterations))
         rtol = max(1e-12, min(1e-3, 0.1 * rnorm / rnorm0))
+        # the linearized weight W = e2*tau*e^u, held in spare as W - mean(W)
+        np.exp(u, out=spare)
+        spare *= e2tau
+        shift = float(spare.mean())
+        spare -= shift
+        np.add(symbol, shift, out=denom)
         # CG overwrites res; the line search needs only rnorm
-        step, steps = newton_direction(u, res, rtol)
+        steps = _pcg(spare, precondition, res, rtol, x, p, q, z)
         cg_iterations.append(steps)
 
         alpha = 1.0
         while True:
-            trial = u + alpha * step
-            trial_res = residual(trial)
-            trial_norm = float(np.max(np.abs(trial_res)))
+            # the trial field u + alpha*x, in spare
+            np.multiply(x, alpha, out=spare)
+            spare += u
+            trial_norm = residual_norm(spare)
             if trial_norm < rnorm:
-                u, res, rnorm = trial, trial_res, trial_norm
+                u, spare, rnorm = spare, u, trial_norm
                 break
             alpha *= 0.5
             if alpha < MIN_NEWTON_STEP:
@@ -318,9 +371,10 @@ def solve(prob: VortexProblem) -> TorusVortexState:
                     rnorm, iterations, tuple(cg_iterations))
         iterations += 1
 
-    phi2 = prob.tau * np.exp(u)
+    phi2 = np.exp(u, out=z)
+    phi2 *= prob.tau
     higgs_l2 = float(phi2.sum() * cell)
-    flux = float(prob.e2 / (4.0 * pi) * ((prob.tau - phi2).sum() * cell))
+    flux = float(prob.e2 / (4.0 * pi) * (np.subtract(prob.tau, phi2, out=p).sum() * cell))
     return TorusVortexState(
         u=u,
         residual_norm=rnorm,

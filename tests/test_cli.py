@@ -444,6 +444,16 @@ def test_vortex_non_convergence_exits_3(tmp_path, capsys):
     assert set(json.loads(err)) == {"error"}
 
 
+def test_vortex_unallocatable_grid_exits_2(tmp_path, capsys):
+    # a 4194304^2 float64 grid is 128 TiB: the kernel refuses the
+    # allocation at once, before any of it is touched
+    config = _vortex_config(tmp_path, N1="4194304", N2="4194304")
+    code, out, err = run_cli(capsys, "vortex", "--config", config)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert set(json.loads(err)) == {"error"}
+
+
 def test_verify_reports_time_per_criterion(capsys):
     # stderr lines carry each criterion's wall time; stdout carries none
     code, out, err = run_cli(capsys, "verify", "--fast")

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import pi, sqrt
 
 import numpy as np
@@ -239,6 +240,26 @@ def test_write_field_format(tmp_path):
     np.testing.assert_allclose(grid, state.u)
 
 
+def _roll_laplacian(v, h1, h2):
+    """The five-point periodic Laplacian in its np.roll form: the reference
+    for the solver's slice form."""
+    return ((np.roll(v, 1, axis=0) + np.roll(v, -1, axis=0) - 2.0 * v) / (h1 * h1)
+            + (np.roll(v, 1, axis=1) + np.roll(v, -1, axis=1) - 2.0 * v) / (h2 * h2))
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (33, 47), (64, 48), (256, 256)])
+def test_laplacian_matches_roll_form(shape):
+    # the slice form into supplied buffers runs the roll form's operations
+    # in the same order, so the two agree to the bit
+    rng = np.random.default_rng(sum(shape))
+    u = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    h1, h2 = 7.0 / shape[0], 6.0 / shape[1]
+    out, work, twice = (np.full(shape, np.nan) for _ in range(3))
+    got = _laplacian(u, h1, h2, out, work, twice)
+    assert got is out
+    assert np.array_equal(got, _roll_laplacian(u, h1, h2))
+
+
 def _cg_operators(seed, shape=(64, 64), decades=0.5):
     """The solver's linearized operator -Lap + W, as a stencil, and its
     Fourier preconditioner (-Lap + s)^-1 on a 7 x 6 torus, for a seeded
@@ -252,7 +273,7 @@ def _cg_operators(seed, shape=(64, 64), decades=0.5):
     denom = _fourier_symbol(torus) + shift
 
     def apply_a(v):
-        return -_laplacian(v, h1, h2) + weight * v
+        return -_roll_laplacian(v, h1, h2) + weight * v
 
     def apply_m(v):
         return np.fft.irfft2(np.fft.rfft2(v) / denom, s=v.shape)
@@ -296,16 +317,42 @@ def test_pcg_matches_reference_cg(rtol, decades, capped):
     assert info == (CG_MAX_ITER if capped else 0)
     calls = []
 
-    def precondition(v):
+    def precondition(v, out):
         calls.append(1)
-        return apply_m(v)
+        out[...] = apply_m(v)
 
-    got, steps = _pcg(dweight, precondition, b.copy(), rtol)
+    # the workspace starts as garbage, as the solver's does
+    got, p, q, z = (np.full(shape, np.nan) for _ in range(4))
+    steps = _pcg(dweight, precondition, b.copy(), rtol, got, p, q, z)
     assert got.shape == shape and np.isfinite(got).all()
     assert steps == len(calls) == len(reference_steps)
     assert np.linalg.norm(got.ravel() - want) <= 1e-12 * np.linalg.norm(want)
     if not capped:
         assert np.linalg.norm(b - apply_a(got)) <= rtol * np.linalg.norm(b)
+
+
+def test_solve_holds_one_workspace():
+    # a converged 256^2 solve allocates its grids once: the traced peak is
+    # the workspace the module docstring documents, plus at most half a
+    # grid for numpy's own buffers
+    side = sqrt(12 * pi)
+    torus = TorusSpec(side, side, 256, 256)
+    prob = VortexProblem(torus, ((side / 4, side / 3, 1), (0.7 * side, 0.62 * side, 1)),
+                         e2=1.0, tau=1.0)
+    solve(prob)  # FFT plans and numpy's lazy set-up
+    grid = 256 * 256 * 8
+    half = 256 * (256 // 2 + 1) * 8
+    # u, res, x, p, q, z, spare and the source; the complex coefficients;
+    # the symbol and the denominator
+    workspace = 8 * grid + 2 * half + 2 * half
+    tracemalloc.start()
+    try:
+        state = solve(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.residual_norm <= prob.tol
+    assert peak <= workspace + grid / 2
 
 
 def test_cg_iterations_per_newton_step():
