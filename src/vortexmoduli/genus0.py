@@ -358,9 +358,7 @@ def embed_pair(pair: BinaryFormPair, delta: int) -> SubspaceBasis:
     """
     if delta < 1:
         raise ParameterError("delta must be >= 1")
-    if not pair.has_full_rank():
-        raise RankDeficientError("pair violates the generic rank invariant")
-    if any(dg > delta for dg in pair.row_degrees()):
+    if delta < smallest_working_delta(pair):
         raise DeltaTooSmallError("delta too small for this pair")
     vectors = []
     for row in pair.fs_matrix:

@@ -2,10 +2,9 @@
 Fubini-Study pullback coefficients recovered from curve degrees, the
 quantization condition, and symplectic volumes.
 
-Cohomological coefficients are exact rationals; the physical inputs (e^2,
-tau, Vol) are floats, and the one place the two meet (the representability
-comparison) converts the quantization number q to an integer only when it is
-within 1e-9 of one.
+Cohomological coefficients are exact rationals, the physical inputs (e^2, tau,
+Vol) floats.  Only ``l2_class`` writes the L2 class down: ``representability``
+reads both ell*delta values off it, ``quantization`` and ``fs_coefficients``.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ def fs_coefficients(d: int, g: int, degrees: CurveDegrees) -> KahlerClass2:
 
     Solves the 2x2 pairing system <C_eta*eta + C_sigma*sigma, Sigma_j> = d_j
     with the pairing values <eta, Sigma_j> = d-j and <sigma, Sigma_j> =
-    (d-j)^2 * g, exactly over the rationals.
+    (d-j)^2 * g, exactly over the rationals; det = -d*(d-1)*g is never 0.
     """
     if d < 2:
         raise ParameterError("need d >= 2")
@@ -92,8 +91,6 @@ def fs_coefficients(d: int, g: int, degrees: CurveDegrees) -> KahlerClass2:
     a00, a01 = Fraction(d), Fraction(d * d * g)
     a10, a11 = Fraction(d - 1), Fraction((d - 1) * (d - 1) * g)
     det = a00 * a11 - a01 * a10
-    if det == 0:
-        raise ParameterError("singular pairing system")
     b0, b1 = Fraction(degrees.d0), Fraction(degrees.d1)
     c_eta = (b0 * a11 - a01 * b1) / det
     c_sigma = (a00 * b1 - b0 * a10) / det
@@ -125,10 +122,12 @@ def representability(phys: PhysicalParams, d: int, g: int) -> RepresentabilityRe
     Fubini-Study pullback class proportional to the L2 class.
 
     The representability statement requires integral q and gives
-    ell*delta = q + g - 1.  Matching the coefficient ratio of the L2 class
-    against (ell*delta - d - g + 1, 1) instead gives
-    ell*delta = 2*(q - d) + d + g - 1.  The two agree exactly when q = d;
-    both are reported and no choice is made between them.
+    ell*delta = q + g - 1.  The other is the twist at which ``fs_coefficients``
+    is proportional to ``l2_class``: the Fubini-Study class moves by (1, 0)
+    per unit of ell*delta, so its value at d + g fixes that twist.  The map
+    (e^2, tau) -> (1, tau*e^2) keeps q and scales the L2 class by e^2, so
+    the class is read there, where no coefficient overflows.  The two agree
+    exactly when q = d; no choice is made between them.
     """
     if d < 2:
         raise ParameterError("need d >= 2")
@@ -137,9 +136,10 @@ def representability(phys: PhysicalParams, d: int, g: int) -> RepresentabilityRe
     rep = quantization(phys)
     if not rep.is_integer:
         return RepresentabilityReport(rep.q, None, None, False)
-    q = round(rep.q)
-    theorem = q + g - 1
-    ratio = Fraction(2 * (q - d) + d + g - 1)
+    theorem = round(rep.q) + g - 1
+    l2 = l2_class(PhysicalParams(1.0, phys.tau * phys.e2, phys.vol), d)
+    fs = fs_coefficients(d, g, curve_degrees(d, g, d + g))
+    ratio = Fraction(d + g + round(fs.c_sigma * l2.c_eta / l2.c_sigma - fs.c_eta))
     return RepresentabilityReport(rep.q, theorem, ratio, theorem == ratio)
 
 

@@ -66,7 +66,7 @@ need not import this module, and with it numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import pi, sqrt
 from typing import Optional, Sequence
 
@@ -407,9 +407,7 @@ def bradlow_sweep(template: VortexProblem, vol_list: Sequence[float]) -> list:
         torus = TorusSpec(base.L1 * scale, base.L2 * scale, base.N1, base.N2)
         zeros = tuple((x * scale, y * scale, m) for (x, y, m) in template.zeros)
         reg = None if template.reg_width is None else template.reg_width * scale
-        prob = VortexProblem(torus, zeros, template.e2, template.tau,
-                             reg_width=reg, tol=template.tol,
-                             max_iter=template.max_iter)
+        prob = replace(template, torus=torus, zeros=zeros, reg_width=reg)
         rep = prob.stability()
         if not rep.stable:
             raise StabilityError(
@@ -470,15 +468,11 @@ def parse_config(text: str) -> VortexProblem:
         return require_finite(key, float(values[key]))
 
     torus = TorusSpec(number("L1"), number("L2"), int(values["N1"]), int(values["N2"]))
-    return VortexProblem(
-        torus=torus,
-        zeros=tuple(zeros),
-        e2=number("e2"),
-        tau=number("tau"),
-        reg_width=number("reg_width") if "reg_width" in values else None,
-        tol=require_finite("tol", float(values.get("tol", "1e-10"))),
-        max_iter=int(values.get("max_iter", "50")),
-    )
+    e2, tau = number("e2"), number("tau")
+    optional = {key: number(key) for key in ("reg_width", "tol") if key in values}
+    if "max_iter" in values:
+        optional["max_iter"] = int(values["max_iter"])
+    return VortexProblem(torus, tuple(zeros), e2, tau, **optional)
 
 
 def write_field(path, state: TorusVortexState, prob: VortexProblem) -> None:

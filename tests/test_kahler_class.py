@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial, pi
 
@@ -121,10 +122,31 @@ def test_representability_reports():
     rep = representability(at(d + 0.25), d, g)
     assert rep.elldelta_theorem is None and rep.elldelta_ratio is None
     assert not rep.consistent
+    rep = representability(at(0), d, g)
+    assert not rep.consistent
+    assert rep.elldelta_theorem == g - 1
+    assert rep.elldelta_ratio == -2 * d + d + g - 1
     with pytest.raises(ParameterError):
         representability(at(d), 1, g)
     with pytest.raises(ParameterError):
         representability(at(d), d, 0)
+
+
+def test_representability_ratio_is_read_off_the_classes():
+    # whatever l2_class says, the reported ratio is the twist whose
+    # Fubini-Study class is proportional to it
+    rng = random.Random(20)
+    for _ in range(300):
+        d, g = rng.randint(2, 6), rng.randint(1, 4)
+        e2, vol = rng.choice((0.3, 1.0, 2.5, 7.1)), rng.uniform(5.0, 500.0)
+        q = d + rng.randint(1, 10 ** rng.randint(1, 6))   # stable: q > d
+        phys = PhysicalParams(e2, 4 * pi * q / (e2 * vol), vol)
+        rep = representability(phys, d, g)
+        assert rep.consistent == (rep.elldelta_theorem == rep.elldelta_ratio)
+        fs = fs_coefficients(d, g, curve_degrees(d, g, rep.elldelta_ratio))
+        l2 = l2_class(phys, d)
+        assert float(fs.c_eta) * l2.c_sigma == pytest.approx(
+            float(fs.c_sigma) * l2.c_eta, rel=1e-9), (d, g, e2, vol, q)
 
 
 def test_symplectic_volume_examples():
