@@ -252,21 +252,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value may start with '-' although it is no plain negative
+# number in argparse's sense: a form such as "-1,2,-3", or a float in
+# exponent notation such as "-1e-05"
+_DASH_VALUE_OPTIONS = {
+    "genus0": ("--s",),
+    "kahler": ("--e2", "--tau", "--vol"),
+    "stability": ("--e2", "--tau", "--vol"),
+}
+
+
 def _dash_argument_guard(argv: list) -> list:
     """argparse reads an argument that starts with '-' as an option unless
-    it contains a space, and both parse_class and ``genus0 --s`` ignore
+    it contains a space or looks like a plain negative number, and
+    parse_class, ``genus0 --s`` and float() all ignore surrounding
     whitespace.  So one space goes in front of every single-dash argument
     other than -h after the ``ring`` subcommand (ring's other options are
-    all long), and in front of the value after ``genus0``'s ``--s``.  That
-    keeps an expression such as "-5/2*eta" positional and a form such as
-    "-1,2,-3" the value of ``--s``."""
+    all long), and in front of one that follows an option of
+    ``_DASH_VALUE_OPTIONS``.  That keeps an expression such as "-5/2*eta"
+    positional, a form such as "-1,2,-3" the value of ``--s``, and
+    ``--tau -1e-05`` the same as ``--tau=-1e-05``."""
     command = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
-    if command is None or argv[command] not in ("ring", "genus0"):
+    if command is None:
         return argv
     ring = argv[command] == "ring"
+    takes_dash = _DASH_VALUE_OPTIONS.get(argv[command], ())
+    if not ring and not takes_dash:
+        return argv
     return argv[:command + 1] + [
         " " + a if a.startswith("-") and not a.startswith("--") and a != "-h"
-        and (ring or before == "--s") else a
+        and (ring or before in takes_dash) else a
         for before, a in zip(argv[command:], argv[command + 1:])]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, pi
+from math import comb, factorial, isfinite, pi
 from typing import Optional, Union
 
 from .moduli_numerics import ParameterError, PhysicalParams
@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 Q_INTEGER_ATOL = 1e-9
+# q = tau*e^2*Vol/(4*pi) is three roundings of a product of floats and pi's
+# own rounding, so its relative error is below 4 * 2^-53 = 2^-51; below
+# 2^50 its absolute error stays under 1/2, and only there can q be known
+# to be an integer
+Q_INTEGER_LIMIT = 2.0 ** 50
 
 Scalar = Union[Fraction, float, int]
 
@@ -104,9 +109,15 @@ class QuantizationReport:
 
 
 def quantization(phys: PhysicalParams) -> QuantizationReport:
-    """q = tau * e^2 * Vol / (4*pi), flagged integral within 1e-9."""
+    """q = tau * e^2 * Vol / (4*pi), flagged integral within 1e-9 when
+    |q| < 2^50 and never beyond, where its rounding error can reach 1/2.
+    A q beyond float range raises ParameterError."""
     q = phys.tau * phys.e2 * phys.vol / (4.0 * pi)
-    return QuantizationReport(q, abs(q - round(q)) <= Q_INTEGER_ATOL)
+    if not isfinite(q):
+        raise ParameterError("q = tau*e^2*Vol/(4*pi) overflows (tau=%r, e2=%r, Vol=%r)"
+                             % (phys.tau, phys.e2, phys.vol))
+    return QuantizationReport(
+        q, abs(q) < Q_INTEGER_LIMIT and abs(q - round(q)) <= Q_INTEGER_ATOL)
 
 
 @dataclass(frozen=True)

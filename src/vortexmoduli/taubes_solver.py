@@ -37,17 +37,33 @@ five-point Laplacian, so -Lap z = r - s*z and
     A z = r + (W - s) z:
 
 each CG step gets A z from the preconditioner's output with elementwise
-operations, and no CG step applies the stencil.  Damping is residual
+operations, and no CG step applies the stencil.
+
+CG solves each Newton system only as accurately as the step can use
+(inexact Newton).  It stops once ||r||_2 < max(eta_k*||b||_2, tol/2),
+where b is the Newton residual F(u_k) and eta_k the forcing term of
+Eisenstat and Walker's choice 2 (SIAM J. Sci. Comput. 17, 1996): eta_0 =
+1e-3, and later
+
+    eta_k = max(1e-12, min(1e-3, 0.9 * (||F(u_k)|| / ||F(u_k-1)||)^2))
+
+in the max norm Newton tests, so the linear solve tightens as fast as
+Newton converges.  The floor tol/2 is Kelley's safeguard (Iterative
+Methods for Linear and Nonlinear Equations, SIAM 1995): since ||r||_inf
+<= ||r||_2, a linear residual below tol/2 already meets the max-norm stop
+up to the step's quadratic remainder, and more CG steps would buy
+accuracy that Newton discards.  Newton itself still returns only once the
+true nonlinear residual is at most tol.  Damping is residual
 backtracking with factor 1/2 down to steps of 2^-10.
 
 Workspace: a solve allocates its arrays once, and every Newton step, CG
 step and line-search trial runs in them.  They come to ten grids: the
 source, seven grids u, res, x, p, q, z and spare, the complex rfft2
-coefficients (one grid), and the Fourier symbol and the preconditioner's
-denominator (half a grid each).  x is the Newton step; res holds the
-residual, which CG then consumes as its r; spare holds W - s during CG
-and the trial field u + alpha*x in the line search, and an accepted trial
-swaps spare and u.  p, q and z are CG's and, between CG runs, the
+coefficients (one grid), and the Fourier symbol and the reciprocal of
+the preconditioner's denominator (half a grid each).  x is the Newton
+step; res holds the residual, which CG then consumes as its r; spare
+holds W - s during CG and the trial field u + alpha*x in the line search,
+and an accepted trial swaps spare and u.  p, q and z are CG's and, between CG runs, the
 Laplacian's and the residual's scratch.  FFTs write into the coefficient
 array and the output grid, and the Laplacian is built from slices.  Each
 in-place sequence runs the operations of the plain numpy expression it
@@ -189,18 +205,23 @@ class TorusVortexState:
 def _laplacian(u: np.ndarray, h1: float, h2: float, out: np.ndarray, work: np.ndarray,
                twice: np.ndarray) -> np.ndarray:
     """Five-point periodic Laplacian of u, written into ``out``; ``work``
-    and ``twice`` are scratch.  All three have u's shape and none is u.
-    Neighbour sums are taken from slices, and the operations run in the
-    order of (roll(u, 1, 0) + roll(u, -1, 0) - 2u) / h1^2 +
-    (roll(u, 1, 1) + roll(u, -1, 1) - 2u) / h2^2, so the result is
-    bit-identical to that form."""
+    and ``twice`` are scratch.  All four are C-contiguous, the last three
+    have u's shape, and none is u.  Neighbour sums are taken from slices,
+    and the operations run in the order of (roll(u, 1, 0) + roll(u, -1, 0)
+    - 2u) / h1^2 + (roll(u, 1, 1) + roll(u, -1, 1) - 2u) / h2^2, so the
+    result is bit-identical to that form.  The column-neighbour sum runs
+    on the flattened grids, where a strided 2-D sum would make numpy
+    allocate iterator buffers; the sums it forms across a row boundary
+    land in the first and last columns, which the wrap-around sums then
+    overwrite."""
     np.multiply(u, 2.0, out=twice)
     np.add(u[:-2], u[2:], out=out[1:-1])
     np.add(u[-1], u[1], out=out[0])
     np.add(u[-2], u[0], out=out[-1])
     out -= twice
     out /= h1 * h1
-    np.add(u[:, :-2], u[:, 2:], out=work[:, 1:-1])
+    flat_u, flat_work = u.reshape(-1), work.reshape(-1)
+    np.add(flat_u[:-2], flat_u[2:], out=flat_work[1:-1])
     np.add(u[:, -1], u[:, 1], out=work[:, 0])
     np.add(u[:, -2], u[:, 0], out=work[:, -1])
     work -= twice
@@ -242,7 +263,7 @@ def _source_grid(prob: VortexProblem) -> np.ndarray:
     return total
 
 
-def _pcg(dweight: np.ndarray, precondition, r: np.ndarray, rtol: float,
+def _pcg(dweight: np.ndarray, precondition, r: np.ndarray, rtol: float, atol: float,
          x: np.ndarray, p: np.ndarray, q: np.ndarray, z: np.ndarray) -> int:
     """Preconditioned conjugate gradients for A x = b from x = 0, where
     A = -Lap + W and ``precondition(r, z)`` writes (-Lap + s)^-1 r into z,
@@ -259,15 +280,15 @@ def _pcg(dweight: np.ndarray, precondition, r: np.ndarray, rtol: float,
     In exact arithmetic the iterates are those of CG with q = A p computed
     directly.
 
-    Stops when ||r|| < rtol*||b||, tested before each step, or after
-    CG_MAX_ITER steps.  b must be nonzero, as a Newton residual above tol
-    is.  Dot products are np.dot on flattened views, so the iterates do
-    not depend on the grid shape.
+    Stops when ||r|| < max(rtol*||b||, atol), tested before each step, or
+    after CG_MAX_ITER steps; that is scipy's ``cg`` stop.  b must be
+    nonzero, as a Newton residual above tol is.  Dot products are np.dot on
+    flattened views, so the iterates do not depend on the grid shape.
     """
     x.fill(0.0)
     p.fill(0.0)
     q.fill(0.0)
-    threshold = rtol * float(np.linalg.norm(r))
+    threshold = max(rtol * float(np.linalg.norm(r)), atol)
     rho_prev = None
     steps = 0
     for _ in range(CG_MAX_ITER):
@@ -309,12 +330,23 @@ def solve(prob: VortexProblem) -> TorusVortexState:
     # the workspace, described in the module docstring
     u, res, x, p, q, z, spare = (np.empty_like(source) for _ in range(7))
     coeffs = np.empty(symbol.shape, dtype=complex)
-    denom = np.empty_like(symbol)
+    real, imag = coeffs.real, coeffs.imag
+    recip = np.empty_like(symbol)
+
+    def set_shift(shift: float) -> None:
+        # recip = 1 / (symbol + shift)
+        np.add(symbol, shift, out=recip)
+        np.divide(1.0, recip, out=recip)
 
     def precondition(rhs: np.ndarray, out: np.ndarray) -> None:
-        # out = irfft2(rfft2(rhs) / denom), by the steps numpy's irfft2 runs
+        # out = irfft2(rfft2(rhs) / (symbol + shift)), by the steps numpy's
+        # irfft2 runs; numpy divides a complex by a real c as the real and
+        # imaginary parts times 1/c, so multiplying the two parts in place
+        # by recip gives its quotient to the bit, with no complex copy of
+        # the denominator
         np.fft.rfft2(rhs, out=coeffs)
-        np.divide(coeffs, denom, out=coeffs)
+        np.multiply(real, recip, out=real)
+        np.multiply(imag, recip, out=imag)
         np.fft.ifft(coeffs, axis=0, out=coeffs)
         np.fft.irfft(coeffs, n=torus.N2, axis=1, out=out)
 
@@ -331,11 +363,11 @@ def solve(prob: VortexProblem) -> TorusVortexState:
         return float(z.max())
 
     # initial guess: constant-coefficient linearization  (Lap - e2*tau) u = S
-    np.add(symbol, e2tau, out=denom)
+    set_shift(e2tau)
     precondition(source, u)
     np.negative(u, out=u)
     rnorm = residual_norm(u)
-    rnorm0 = max(rnorm, 1.0)
+    rtol = 1e-3  # the first forcing term
     iterations = 0
     cg_iterations = []
 
@@ -344,15 +376,14 @@ def solve(prob: VortexProblem) -> TorusVortexState:
             raise NonConvergenceError(
                 "no convergence within %d Newton iterations (residual %.3g)"
                 % (prob.max_iter, rnorm), rnorm, iterations, tuple(cg_iterations))
-        rtol = max(1e-12, min(1e-3, 0.1 * rnorm / rnorm0))
         # the linearized weight W = e2*tau*e^u, held in spare as W - mean(W)
         np.exp(u, out=spare)
         spare *= e2tau
         shift = float(spare.mean())
         spare -= shift
-        np.add(symbol, shift, out=denom)
+        set_shift(shift)
         # CG overwrites res; the line search needs only rnorm
-        steps = _pcg(spare, precondition, res, rtol, x, p, q, z)
+        steps = _pcg(spare, precondition, res, rtol, 0.5 * prob.tol, x, p, q, z)
         cg_iterations.append(steps)
 
         alpha = 1.0
@@ -362,6 +393,8 @@ def solve(prob: VortexProblem) -> TorusVortexState:
             spare += u
             trial_norm = residual_norm(spare)
             if trial_norm < rnorm:
+                # the next forcing term, by Eisenstat-Walker choice 2
+                rtol = max(1e-12, min(1e-3, 0.9 * (trial_norm / rnorm) ** 2))
                 u, spare, rnorm = spare, u, trial_norm
                 break
             alpha *= 0.5

@@ -55,6 +55,26 @@ def test_genus0_accepts_leading_minus(capsys, form):
     assert out == out2
 
 
+@pytest.mark.parametrize("argv,option,value,want", [
+    (("kahler", "--d", "2", "--g", "2", "--elldelta", "5", "--e2", "1", "--vol", "30"),
+     "--tau", "-1e-05", 0),
+    (("kahler", "--d", "2", "--g", "2", "--elldelta", "5", "--tau", "1", "--vol", "30"),
+     "--e2", "-2.5E+3", 2),
+    (("stability", "--e2", "1", "--vol", "30", "--d", "1"), "--tau", "-1e-05", 0),
+    (("stability", "--e2", "1", "--tau", "1", "--d", "1"), "--vol", "-3e1", 2),
+], ids=["kahler-tau", "kahler-e2", "stability-tau", "stability-vol"])
+def test_float_options_accept_negative_exponent_notation(capsys, argv, option, value, want):
+    # "--tau -1e-05" reads the same as "--tau=-1e-05", although argparse
+    # takes only plain negative numbers such as -0.5 as option values
+    code, out, err = run_cli(capsys, *argv, option, value)
+    assert (code, out, err) == run_cli(capsys, *argv, option + "=" + value)
+    assert code == want
+    if want:
+        assert "positive" in json.loads(err)["error"]
+    else:
+        assert json.loads(out)
+
+
 def _fresh_python(code, *args):
     """Run ``code`` in a new interpreter, which has loaded nothing the test
     process has; pytest itself may have imported numpy."""
@@ -235,6 +255,16 @@ def test_kahler_with_physics(capsys):
     assert payload["consistent"] is True
     assert payload["elldelta_theorem"] == 3
     assert payload["elldelta_ratio"] == "3"
+
+
+def test_kahler_claims_no_integer_past_float_precision(capsys):
+    # at q = 1e16 the rounding error of q exceeds 1, so no ell*delta follows
+    code, out, _ = run_cli(capsys, "kahler", "--d", "2", "--g", "2", "--elldelta", "5",
+                           "--e2", "1", "--tau", "1e16", "--vol", repr(4 * pi))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["q"] == 1e16
+    assert payload["elldelta_theorem"] is None and payload["elldelta_ratio"] is None
 
 
 def test_embed_and_stability(capsys):

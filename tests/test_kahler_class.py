@@ -109,6 +109,31 @@ def test_quantization():
     assert not rep.is_integer
 
 
+def test_quantization_beyond_float_precision():
+    # past 2^50 the rounding error of q can reach 1/2, so no q there is
+    # flagged integral, though every double that large is an integer
+    vol = 4 * pi
+    below = 2.0 ** 50 - 1
+    assert quantization(PhysicalParams(1.0, below, vol)).q == below
+    assert quantization(PhysicalParams(1.0, below, vol)).is_integer
+    for q in (2.0 ** 50, 1e16, 2.0 ** 53, 4.6e306):
+        rep = quantization(PhysicalParams(1.0, q, vol))
+        assert rep.q == q and not rep.is_integer
+        # the L2 class of q = 4.6e306 overflows, and it is not needed
+        rep = representability(PhysicalParams(1.0, q, vol), 2, 2)
+        assert rep.elldelta_theorem is None and rep.elldelta_ratio is None
+        assert not rep.consistent
+
+
+def test_quantization_rejects_overflowing_q():
+    # q ~ 4.5e306, but tau*e^2 overflows before the division by 4*pi
+    phys = PhysicalParams(1e200, 1e200, 5.65e-93)
+    with pytest.raises(ParameterError, match="q = tau"):
+        quantization(phys)
+    with pytest.raises(ParameterError, match="q = tau"):
+        representability(phys, 2, 2)
+
+
 def test_representability_reports():
     d, g, vol = 2, 2, 4 * pi * 5
     at = lambda q: PhysicalParams(1.0, 4 * pi * q / vol, vol)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from math import pi, sqrt
 
 import numpy as np
@@ -30,6 +31,14 @@ def square_problem(d, vol_factor, grid=64, zeros=None, **kw):
         zeros = ((side / 2, side / 2, d),) if d else ()
     return VortexProblem(torus, zeros, e2=kw.pop("e2", 1.0),
                          tau=kw.pop("tau", 1.0), **kw)
+
+
+def _acceptance_layout(grid):
+    """The acceptance suite's two-vortex layout on a torus of area 12*pi."""
+    side = sqrt(12 * pi)
+    torus = TorusSpec(side, side, grid, grid)
+    return VortexProblem(torus, ((side / 4, side / 3, 1), (0.7 * side, 0.62 * side, 1)),
+                         e2=1.0, tau=1.0)
 
 
 def test_vacuum():
@@ -291,15 +300,17 @@ def test_preconditioner_output_gives_the_operator():
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("rtol,decades,capped", [
-    (1e-3, 0.5, False),
-    (1e-8, 0.5, False),
-    (1e-12, 0.5, False),
+@pytest.mark.parametrize("rtol,atol,decades,capped", [
+    (1e-3, 0.0, 0.5, False),
+    (1e-8, 0.0, 0.5, False),
+    (1e-12, 0.0, 0.5, False),
+    # an absolute floor above rtol*||b|| ends the run
+    (1e-12, 1e-6, 0.5, False),
     # a weight over twelve decades with a tolerance below round-off runs
     # to the iteration cap
-    (1e-300, 6.0, True),
-], ids=["1e-3", "1e-8", "1e-12", "iteration-cap"])
-def test_pcg_matches_reference_cg(rtol, decades, capped):
+    (1e-300, 0.0, 6.0, True),
+], ids=["1e-3", "1e-8", "1e-12", "atol-1e-6", "iteration-cap"])
+def test_pcg_matches_reference_cg(rtol, atol, decades, capped):
     # the in-module recurrence, which takes A p from the preconditioner's
     # output, against scipy.sparse.linalg.cg applying the stencil: the same
     # iteration count and the same solution up to round-off
@@ -311,7 +322,7 @@ def test_pcg_matches_reference_cg(rtol, decades, capped):
     pre = linalg.LinearOperator((size, size), dtype=float,
                                 matvec=lambda v: apply_m(v.reshape(shape)).ravel())
     reference_steps = []
-    want, info = linalg.cg(op, b.ravel(), rtol=rtol, atol=0.0, M=pre,
+    want, info = linalg.cg(op, b.ravel(), rtol=rtol, atol=atol, M=pre,
                            maxiter=CG_MAX_ITER,
                            callback=lambda xk: reference_steps.append(1))
     assert info == (CG_MAX_ITER if capped else 0)
@@ -323,27 +334,24 @@ def test_pcg_matches_reference_cg(rtol, decades, capped):
 
     # the workspace starts as garbage, as the solver's does
     got, p, q, z = (np.full(shape, np.nan) for _ in range(4))
-    steps = _pcg(dweight, precondition, b.copy(), rtol, got, p, q, z)
+    steps = _pcg(dweight, precondition, b.copy(), rtol, atol, got, p, q, z)
     assert got.shape == shape and np.isfinite(got).all()
     assert steps == len(calls) == len(reference_steps)
     assert np.linalg.norm(got.ravel() - want) <= 1e-12 * np.linalg.norm(want)
     if not capped:
-        assert np.linalg.norm(b - apply_a(got)) <= rtol * np.linalg.norm(b)
+        assert np.linalg.norm(b - apply_a(got)) <= max(rtol * np.linalg.norm(b), atol)
 
 
 def test_solve_holds_one_workspace():
     # a converged 256^2 solve allocates its grids once: the traced peak is
     # the workspace the module docstring documents, plus at most half a
     # grid for numpy's own buffers
-    side = sqrt(12 * pi)
-    torus = TorusSpec(side, side, 256, 256)
-    prob = VortexProblem(torus, ((side / 4, side / 3, 1), (0.7 * side, 0.62 * side, 1)),
-                         e2=1.0, tau=1.0)
+    prob = _acceptance_layout(256)
     solve(prob)  # FFT plans and numpy's lazy set-up
     grid = 256 * 256 * 8
     half = 256 * (256 // 2 + 1) * 8
     # u, res, x, p, q, z, spare and the source; the complex coefficients;
-    # the symbol and the denominator
+    # the symbol and the reciprocal denominator
     workspace = 8 * grid + 2 * half + 2 * half
     tracemalloc.start()
     try:
@@ -356,20 +364,28 @@ def test_solve_holds_one_workspace():
 
 
 def test_cg_iterations_per_newton_step():
-    # the acceptance two-vortex layout at 256^2: the CG step counts of the
-    # stencil-free recurrence are those the stencil matvec took
-    side = sqrt(12 * pi)
-    torus = TorusSpec(side, side, 256, 256)
-    prob = VortexProblem(torus, ((side / 4, side / 3, 1), (0.7 * side, 0.62 * side, 1)),
-                         e2=1.0, tau=1.0)
+    # the acceptance two-vortex layout at 256^2: the CG step counts of each
+    # Newton step under the Eisenstat-Walker forcing terms
+    prob = _acceptance_layout(256)
     state = solve(prob)
     assert state.iterations == 5
-    assert state.cg_iterations == (3, 4, 4, 6, 9)
+    assert state.cg_iterations == (3, 4, 4, 5, 4)
     assert solve(square_problem(0, 2.0)).cg_iterations == ()
     with pytest.raises(NonConvergenceError) as err:
-        solve(VortexProblem(torus, prob.zeros, e2=1.0, tau=1.0, max_iter=2))
+        solve(replace(prob, max_iter=2))
     assert err.value.iterations == 2
     assert err.value.cg_iterations == (3, 4)
+
+
+def test_cg_stops_once_newton_cannot_use_more_accuracy():
+    # the forcing term follows the residual's drop, and a linear residual
+    # below tol/2 is below tol in the max norm Newton tests, so the last
+    # Newton step needs only a few CG steps to reach tol
+    prob = _acceptance_layout(256)
+    state = solve(prob)
+    assert state.residual_norm <= prob.tol
+    assert sum(state.cg_iterations) <= 20
+    assert state.cg_iterations[-1] <= 4
 
 
 @st.composite
