@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vortexmoduli import taubes_solver
 from vortexmoduli.moduli_numerics import ParameterError
 from vortexmoduli.taubes_solver import (
     CG_MAX_ITER,
@@ -16,6 +17,7 @@ from vortexmoduli.taubes_solver import (
     _fourier_symbol,
     _laplacian,
     _pcg,
+    _subtract_prolonged,
     bradlow_sweep,
     parse_config,
     solve,
@@ -279,7 +281,8 @@ def _cg_operators(seed, shape=(64, 64), decades=0.5):
     rng = np.random.default_rng(seed)
     weight = 10.0 ** rng.uniform(-decades, decades, shape)
     shift = float(weight.mean())
-    denom = _fourier_symbol(torus) + shift
+    spectral_shape = (shape[0], shape[1] // 2 + 1)
+    denom = _fourier_symbol(torus, np.empty(spectral_shape), np.empty(spectral_shape)) + shift
 
     def apply_a(v):
         return -_roll_laplacian(v, h1, h2) + weight * v
@@ -365,16 +368,18 @@ def test_solve_holds_one_workspace():
 
 def test_cg_iterations_per_newton_step():
     # the acceptance two-vortex layout at 256^2: the CG step counts of each
-    # Newton step under the Eisenstat-Walker forcing terms
+    # finest-grid Newton step under the Eisenstat-Walker forcing terms, and
+    # the Newton and CG steps of each grid from 64^2 up
     prob = _acceptance_layout(256)
     state = solve(prob)
-    assert state.iterations == 5
-    assert state.cg_iterations == (3, 4, 4, 5, 4)
+    assert state.iterations == 2
+    assert state.cg_iterations == (3, 6)
+    assert state.levels == ((64, 64, 3, 10), (128, 128, 1, 3), (256, 256, 2, 9))
     assert solve(square_problem(0, 2.0)).cg_iterations == ()
     with pytest.raises(NonConvergenceError) as err:
-        solve(replace(prob, max_iter=2))
-    assert err.value.iterations == 2
-    assert err.value.cg_iterations == (3, 4)
+        solve(replace(prob, max_iter=1))
+    assert err.value.iterations == 1
+    assert err.value.cg_iterations == (4,)
 
 
 def test_cg_stops_once_newton_cannot_use_more_accuracy():
@@ -384,8 +389,71 @@ def test_cg_stops_once_newton_cannot_use_more_accuracy():
     prob = _acceptance_layout(256)
     state = solve(prob)
     assert state.residual_norm <= prob.tol
-    assert sum(state.cg_iterations) <= 20
-    assert state.cg_iterations[-1] <= 4
+    assert sum(state.cg_iterations) <= 9
+    assert state.cg_iterations[-1] <= 6
+
+
+def _double_zero_384x256():
+    """A double zero on a 384 x 256 grid of an 18 x 12 torus."""
+    torus = TorusSpec(18.0, 12.0, 384, 256)
+    return VortexProblem(torus, ((5.3, 7.1, 2),), e2=1.0, tau=1.0)
+
+
+@pytest.mark.parametrize("make", [lambda: _acceptance_layout(256), _double_zero_384x256],
+                         ids=["acceptance-256", "double-zero-384x256"])
+def test_half_grid_start_leaves_the_finest_grid_two_steps(make, monkeypatch):
+    # Newton's step count does not depend on the mesh, so the half grid's
+    # solution leaves the finest grid only the last, quadratic steps; the
+    # answer is the single-level solve's up to the stop's tolerance
+    prob = make()
+    state = solve(prob)
+    assert state.residual_norm <= prob.tol
+    assert state.iterations <= 2
+    assert len(state.levels) >= 2
+    assert state.levels[-1][:3] == (prob.torus.N1, prob.torus.N2, state.iterations)
+    monkeypatch.setattr(taubes_solver, "COARSE_MIN_N", 10 ** 9)
+    single = solve(prob)
+    assert single.levels == ((prob.torus.N1, prob.torus.N2, single.iterations,
+                              sum(single.cg_iterations)),)
+    assert single.iterations > 2
+    assert np.abs(state.u - single.u).max() <= 1e-9
+    assert abs(state.flux - prob.d) <= 1e-9
+
+
+def test_half_grid_start_converges_within_two_steps():
+    # max_iter bounds the Newton steps of every grid; two are enough
+    prob = replace(_acceptance_layout(256), max_iter=2)
+    state = solve(prob)
+    assert state.residual_norm <= prob.tol
+    assert state.iterations <= 2
+
+
+def test_odd_grid_runs_on_one_level():
+    torus = TorusSpec(7.0, 6.0, 33, 47)
+    state = solve(VortexProblem(torus, ((2.0, 3.0, 1),), e2=1.0, tau=1.0))
+    assert state.levels == ((33, 47, state.iterations, sum(state.cg_iterations)),)
+
+
+@pytest.mark.parametrize("coarse", [(64, 64), (49, 33), (32, 50)])
+def test_prolongation_is_exact_for_resolved_modes(coarse):
+    # zero-padding the spectrum interpolates any trigonometric polynomial
+    # below the coarse Nyquist frequency exactly, on even and odd coarse
+    # sizes
+    n1, n2 = coarse
+    fine = TorusSpec(7.0, 6.0, 2 * n1, 2 * n2)
+
+    def field(torus):
+        x = np.arange(torus.N1)[:, None] / torus.N1
+        y = np.arange(torus.N2)[None, :] / torus.N2
+        return (0.3 + np.cos(2 * pi * (3 * x - 5 * y)) + np.sin(2 * pi * 7 * x)
+                - 0.5 * np.cos(2 * pi * ((n1 - 1) // 2 * x + (n2 - 1) // 2 * y)))
+
+    coarse_torus = TorusSpec(7.0, 6.0, n1, n2)
+    spectrum = np.fft.rfft2(4.0 * field(coarse_torus))
+    coeffs = np.zeros((fine.N1, fine.N2 // 2 + 1), dtype=complex)
+    _subtract_prolonged(coeffs, spectrum, coarse_torus, np.full((fine.N1, fine.N2), np.nan))
+    got = -np.fft.irfft2(coeffs, s=(fine.N1, fine.N2))
+    assert np.abs(got - field(fine)).max() <= 1e-12
 
 
 @st.composite
