@@ -434,11 +434,11 @@ def test_odd_grid_runs_on_one_level():
     assert state.levels == ((33, 47, state.iterations, sum(state.cg_iterations)),)
 
 
-@pytest.mark.parametrize("coarse", [(64, 64), (49, 33), (32, 50)])
+@pytest.mark.parametrize("coarse", [(64, 64), (49, 33), (32, 50), (49, 32)])
 def test_prolongation_is_exact_for_resolved_modes(coarse):
     # zero-padding the spectrum interpolates any trigonometric polynomial
     # below the coarse Nyquist frequency exactly, on even and odd coarse
-    # sizes
+    # sizes, and drops the coarse Nyquist modes of an even side
     n1, n2 = coarse
     fine = TorusSpec(7.0, 6.0, 2 * n1, 2 * n2)
 
@@ -449,7 +449,9 @@ def test_prolongation_is_exact_for_resolved_modes(coarse):
                 - 0.5 * np.cos(2 * pi * ((n1 - 1) // 2 * x + (n2 - 1) // 2 * y)))
 
     coarse_torus = TorusSpec(7.0, 6.0, n1, n2)
-    spectrum = np.fft.rfft2(4.0 * field(coarse_torus))
+    i, j = np.arange(n1)[:, None], np.arange(n2)[None, :]
+    nyquist = (n1 % 2 == 0) * (-1.0) ** i + (n2 % 2 == 0) * (-1.0) ** j
+    spectrum = np.fft.rfft2(4.0 * (field(coarse_torus) + nyquist))
     coeffs = np.zeros((fine.N1, fine.N2 // 2 + 1), dtype=complex)
     _subtract_prolonged(coeffs, spectrum, coarse_torus, np.full((fine.N1, fine.N2), np.nan))
     got = -np.fft.irfft2(coeffs, s=(fine.N1, fine.N2))
