@@ -33,7 +33,6 @@ from .moduli_numerics import (
     rr_dim,
     grassmann_params,
     moduli_dim,
-    tangent_dim_local,
     stability_check,
 )
 from .kahler_class import (
@@ -55,7 +54,7 @@ from .genus0 import (
     reconstruct,
     curve_degree,
 )
-from .strata import Partition, partitions, fiber_tower, stratum_dim, stratification_report
+from .strata import Partition, partitions, stratum_dim, stratification_report
 
 __version__ = "0.1.0"
 

@@ -25,7 +25,6 @@ __all__ = [
     "rr_dim",
     "grassmann_params",
     "moduli_dim",
-    "tangent_dim_local",
     "StabilityReport",
     "stability_check",
 ]
@@ -50,15 +49,18 @@ class StabilityError(ValueError):
 class NonConvergenceError(RuntimeError):
     """A solve stopped without reaching its residual tolerance.
 
-    ``cg_iterations`` holds the CG steps of each Newton step attempted, the
-    one whose line search stalled included."""
+    ``cg_iterations`` holds the CG steps of each Newton step attempted on
+    the finest grid, the one whose line search stalled included, and
+    ``levels`` one (N1, N2, Newton steps, CG steps) entry per grid the
+    solve ran on, from the coarsest to the finest."""
 
     def __init__(self, message: str, residual: float, iterations: int,
-                 cg_iterations: tuple = ()):
+                 cg_iterations: tuple = (), levels: tuple = ()):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
         self.cg_iterations = cg_iterations
+        self.levels = levels
 
 
 def require_finite(name: str, value: float) -> float:
@@ -169,16 +171,6 @@ def moduli_dim(n: int, r: int, d: int, g: int) -> int:
         raise ParameterError(
             "dimension formula not asserted for n > r with d <= r*(g-1)")
     return n * d + r * (r - n) * (g - 1)
-
-
-def tangent_dim_local(r: int, d: int) -> int:
-    """Tangent dimension at a local (n = r) moduli point: sections of a
-    torsion quotient of length d tensored with a rank-r bundle."""
-    if r < 1:
-        raise ParameterError("rank r must be >= 1")
-    if d < 0:
-        raise ParameterError("degree d must be >= 0")
-    return r * d
 
 
 @dataclass(frozen=True)

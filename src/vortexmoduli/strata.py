@@ -20,9 +20,7 @@ from .moduli_numerics import ParameterError
 
 __all__ = [
     "Partition",
-    "FiberTower",
     "partitions",
-    "fiber_tower",
     "stratum_dim",
     "stratification_report",
 ]
@@ -69,32 +67,6 @@ def partitions(d: int) -> list[Partition]:
     return [Partition(p) for p in _descending(d, d if d else 1)]
 
 
-@dataclass(frozen=True)
-class FiberTower:
-    """Per-part chains of projective-bundle steps over a support point.
-
-    ``steps[i]`` lists the relative dimensions of the chain attached to
-    parts[i]; a part of multiplicity m contributes m steps (the base
-    hyperplane plus m - 1 Hecke refinements), each of relative dimension
-    r - 1.
-    """
-
-    partition: Partition
-    r: int
-    steps: tuple[tuple[int, ...], ...]
-
-    @property
-    def total_dim(self) -> int:
-        return sum(sum(chain) for chain in self.steps)
-
-
-def fiber_tower(p: Partition, r: int) -> FiberTower:
-    if r < 1:
-        raise ParameterError("rank r must be >= 1")
-    steps = tuple(tuple([r - 1] * m) for m in p.parts)
-    return FiberTower(p, r, steps)
-
-
 def stratum_dim(p: Partition, r: int) -> int:
     """Parameter dimension of the stratum: a + d*(r-1).
 
@@ -110,12 +82,11 @@ def stratification_report(d: int, r: int) -> list[dict]:
     """One row per partition: tower shape, dimension, codimension in d*r."""
     rows = []
     for p in partitions(d):
-        tower = fiber_tower(p, r)
         dim = stratum_dim(p, r)
         rows.append({
             "partition": list(p.parts),
             "num_parts": p.num_parts,
-            "tower": [list(chain) for chain in tower.steps],
+            "tower": [[r - 1] * m for m in p.parts],
             "dim": dim,
             "codim": d * r - dim,
         })

@@ -26,12 +26,13 @@ with the orientation fixed so that a degree-d bundle carries positive flux.
 Discretization: second-order five-point Laplacian on a uniform periodic
 grid.  Each delta source is replaced by a periodic Gaussian bump whose
 *discrete* integral is normalized to exactly 4*pi*m_i, so both identities
-hold at the discrete level up to the Newton residual.  Linearized steps are
-solved by preconditioned conjugate gradients (the in-module recurrence
-``_pcg``, run on the 2-D grids) for the positive-definite operator
-A = -Lap + W with W = e^2*tau*e^u, with the constant-coefficient inverse
-z = (-Lap + s)^-1 r, s = mean(W), applied in Fourier space as the
-preconditioner.  Its symbol is the exact eigenvalue of the same periodic
+hold at the discrete level up to the Newton residual.  The bump's width is
+SOURCE_WIDTH_SPACINGS = 3 spacings of the finest grid, on every level.
+Linearized steps are solved by preconditioned conjugate gradients (the
+in-module recurrence ``_pcg``, run on the 2-D grids) for the
+positive-definite operator A = -Lap + W with W = e^2*tau*e^u, with the
+constant-coefficient inverse z = (-Lap + s)^-1 r, s = mean(W), applied in
+Fourier space as the preconditioner.  Its symbol is the exact eigenvalue of the same periodic
 five-point Laplacian, so -Lap z = r - s*z and
 
     A z = r + (W - s) z:
@@ -64,9 +65,8 @@ the nonlinear correction of the half grid prolonged,
 
 When N1 and N2 are both even and the half grid has at least COARSE_MIN_N
 = 64 points per side, the solve first runs the same problem (the same
-zeros and this grid's Gaussian width) on the N1/2 x N2/2 grid, itself
-started the same way, to residual max(COARSE_TOL, tol) with COARSE_TOL =
-1e-3.  A coarse level never raises: at the Newton cap or a stalled line
+zeros and Gaussian width) on the N1/2 x N2/2 grid, itself started the
+same way, to residual max(COARSE_TOL, tol) with COARSE_TOL = 1e-3.  A coarse level never raises: at the Newton cap or a stalled line
 search it hands over the iterate it reached.  P is spectral prolongation:
 the coarse rfft2 spectrum is zero-padded, its Nyquist modes dropped.
 Newton's step count does not depend on the mesh (Allgower, Boehmer,
@@ -113,7 +113,7 @@ need not import this module, and with it numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from math import pi, sqrt
 from typing import Optional, Sequence
 
@@ -142,6 +142,8 @@ CG_MAX_ITER = 2000
 # residual that half grid is solved to (see the module docstring)
 COARSE_MIN_N = 64
 COARSE_TOL = 1e-3
+# the Gaussian source width, in spacings of the finest grid
+SOURCE_WIDTH_SPACINGS = 3.0
 
 
 @dataclass(frozen=True)
@@ -172,14 +174,13 @@ class TorusSpec:
 
 @dataclass(frozen=True)
 class VortexProblem:
-    """Zeros are (x, y, multiplicity) triples; reg_width defaults to three
-    grid spacings when not given."""
+    """Zeros are (x, y, multiplicity) triples."""
 
     torus: TorusSpec
     zeros: tuple
     e2: float
     tau: float
-    reg_width: Optional[float] = None
+    _: KW_ONLY
     tol: float = 1e-10
     max_iter: int = 50
 
@@ -191,28 +192,16 @@ class VortexProblem:
             require_finite("zero coordinate", y)
         for name in ("e2", "tau", "tol"):
             require_finite(name, getattr(self, name))
-        if self.reg_width is not None:
-            require_finite("reg_width", self.reg_width)
         if self.e2 <= 0 or self.tau <= 0:
             raise ParameterError("e2 and tau must be positive")
         if any(m < 1 for (_, _, m) in zs):
             raise ParameterError("multiplicities must be positive integers")
         if self.tol <= 0 or self.max_iter < 1:
             raise ParameterError("tol must be positive and max_iter >= 1")
-        h1, h2 = self.torus.spacing
-        width = self.resolved_reg_width()
-        if width < 2.0 * max(h1, h2) * (1.0 - 1e-12):
-            raise ParameterError("reg_width must be at least two grid spacings")
 
     @property
     def d(self) -> int:
         return sum(m for (_, _, m) in self.zeros)
-
-    def resolved_reg_width(self) -> float:
-        if self.reg_width is not None:
-            return float(self.reg_width)
-        h1, h2 = self.torus.spacing
-        return 3.0 * max(h1, h2)
 
     def stability(self) -> StabilityReport:
         """The shared stability predicate, ``moduli_numerics.stability_check``."""
@@ -296,12 +285,12 @@ def _periodic_gaussian(n: int, h: float, period: float, centre: float,
 
 def _source_grid(prob: VortexProblem, torus: TorusSpec, out: np.ndarray,
                  bump: np.ndarray) -> np.ndarray:
-    """Sum of Gaussian bumps of prob's width on ``torus``'s grid, each
+    """Sum of Gaussian bumps on ``torus``'s grid, each of prob's width and
     normalized to discrete integral 4*pi*m, written into ``out``; ``bump``
     is scratch of the same shape.  A bump is the outer product of two 1-D
     Gaussians, so its discrete integral is the product of their sums."""
     h1, h2 = torus.spacing
-    width = prob.resolved_reg_width()
+    width = SOURCE_WIDTH_SPACINGS * max(prob.torus.spacing)
     out.fill(0.0)
     for (zx, zy, m) in prob.zeros:
         gx = _periodic_gaussian(torus.N1, h1, torus.L1, zx, width)
@@ -557,7 +546,8 @@ def solve(prob: VortexProblem) -> TorusVortexState:
     u, rnorm, iterations, cg_iterations, failure = \
         _Level(prob, torus, grids, spectra).newton(prob.tol, levels)
     if failure is not None:
-        raise NonConvergenceError(failure, rnorm, iterations, cg_iterations)
+        raise NonConvergenceError(failure, rnorm, iterations, cg_iterations,
+                                  tuple(levels))
 
     phi2 = np.exp(u, out=grids[6])
     phi2 *= prob.tau
@@ -595,8 +585,7 @@ def bradlow_sweep(template: VortexProblem, vol_list: Sequence[float]) -> list:
         scale = sqrt(vol / base.vol)
         torus = TorusSpec(base.L1 * scale, base.L2 * scale, base.N1, base.N2)
         zeros = tuple((x * scale, y * scale, m) for (x, y, m) in template.zeros)
-        reg = None if template.reg_width is None else template.reg_width * scale
-        prob = replace(template, torus=torus, zeros=zeros, reg_width=reg)
+        prob = replace(template, torus=torus, zeros=zeros)
         rep = prob.stability()
         if not rep.stable:
             raise StabilityError(
@@ -613,13 +602,13 @@ def bradlow_sweep(template: VortexProblem, vol_list: Sequence[float]) -> list:
 # problem files and field dumps
 
 
-_CONFIG_KEYS = ("L1", "L2", "N1", "N2", "e2", "tau", "tol", "reg_width", "max_iter")
+_CONFIG_KEYS = ("L1", "L2", "N1", "N2", "e2", "tau", "tol", "max_iter")
 
 
 def parse_config(text: str) -> VortexProblem:
     """Key-value problem description.
 
-    Recognized keys: L1, L2, N1, N2, e2, tau, tol, reg_width, max_iter, and
+    Recognized keys: L1, L2, N1, N2, e2, tau, tol, max_iter, and
     repeatable ``zero = x y [multiplicity]`` lines.  '#' starts a comment.
     An unknown or repeated key, or a nan or infinite float value, raises
     ParameterError.
@@ -658,7 +647,7 @@ def parse_config(text: str) -> VortexProblem:
 
     torus = TorusSpec(number("L1"), number("L2"), int(values["N1"]), int(values["N2"]))
     e2, tau = number("e2"), number("tau")
-    optional = {key: number(key) for key in ("reg_width", "tol") if key in values}
+    optional = {"tol": number("tol")} if "tol" in values else {}
     if "max_iter" in values:
         optional["max_iter"] = int(values["max_iter"])
     return VortexProblem(torus, tuple(zeros), e2, tau, **optional)

@@ -484,6 +484,29 @@ def test_vortex_unallocatable_grid_exits_2(tmp_path, capsys):
     assert set(json.loads(err)) == {"error"}
 
 
+def test_verify_loads_the_solver_before_timing_criterion_9():
+    # criterion 9's time is its solves: numpy and the solver are loaded
+    # before the criteria run, and only by the full verify
+    probe = ("import sys\n"
+             "from vortexmoduli import acceptance, cli\n"
+             "seen = []\n"
+             "def wrap(fn):\n"
+             "    def timed():\n"
+             "        seen.append('vortexmoduli.taubes_solver' in sys.modules)\n"
+             "        return fn()\n"
+             "    return timed\n"
+             "acceptance.CRITERIA = [(i, name, wrap(fn) if i == 9 else fn, exact)\n"
+             "                       for (i, name, fn, exact) in acceptance.CRITERIA]\n"
+             "cli.main(['verify', '--fast'])\n"
+             "seen.append('numpy' in sys.modules)\n"
+             "code = cli.main(['verify'])\n"
+             "print(seen)\n"
+             "sys.exit(code)\n")
+    proc = _fresh_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, True]"
+
+
 def test_verify_reports_time_per_criterion(capsys):
     # stderr lines carry each criterion's wall time; stdout carries none
     code, out, err = run_cli(capsys, "verify", "--fast")
@@ -558,7 +581,9 @@ def test_malformed_config_exits_2(tmp_path, capsys, text):
 @pytest.mark.parametrize("extra,message", [
     ("toll = 1e-3\n", "line 8: unknown key 'toll'"),
     ("N1 = 64\n", "line 8: repeated key 'N1'"),
-], ids=["unknown-key", "repeated-key"])
+    # the source width is fixed at three spacings, no longer a key
+    ("reg_width = 0.1\n", "line 8: unknown key 'reg_width'"),
+], ids=["unknown-key", "repeated-key", "reg-width"])
 def test_config_rejects_unknown_and_repeated_keys(tmp_path, capsys, extra, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(_GOOD_CONFIG + extra)

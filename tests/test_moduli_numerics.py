@@ -10,7 +10,6 @@ from vortexmoduli.moduli_numerics import (
     moduli_dim,
     rr_dim,
     stability_check,
-    tangent_dim_local,
 )
 
 
@@ -66,16 +65,6 @@ def test_moduli_dim():
         moduli_dim(3, 2, 2, 2)  # n > r and d <= r(g-1)
     with pytest.raises(ParameterError):
         moduli_dim(1, 2, 5, 0)
-
-
-def test_tangent_dim_local():
-    assert tangent_dim_local(1, 4) == 4
-    assert tangent_dim_local(2, 3) == 6
-    assert tangent_dim_local(3, 0) == 0
-    for n in range(1, 5):
-        for d in range(0, 9):
-            for g in range(0, 4):
-                assert tangent_dim_local(n, d) == moduli_dim(n, n, d, g)
 
 
 def test_stability_examples():

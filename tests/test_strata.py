@@ -3,7 +3,6 @@ import pytest
 from vortexmoduli.moduli_numerics import ParameterError, moduli_dim
 from vortexmoduli.strata import (
     Partition,
-    fiber_tower,
     partitions,
     stratification_report,
     stratum_dim,
@@ -43,26 +42,26 @@ def test_partition_validation():
         partitions(-1)
 
 
+def _towers(d, r):
+    return {tuple(row["partition"]): row["tower"] for row in stratification_report(d, r)}
+
+
 def test_fiber_tower_shapes():
     # all-ones: d independent projective spaces
-    t = fiber_tower(Partition((1, 1, 1)), 3)
-    assert t.steps == ((2,), (2,), (2,))
-    assert t.total_dim == 3 * 2
+    assert _towers(3, 3)[(1, 1, 1)] == [[2], [2], [2]]
     # one double point: an extra bundle step over the base
-    t = fiber_tower(Partition((2, 1)), 2)
-    assert t.steps == ((1, 1), (1,))
+    assert _towers(3, 2)[(2, 1)] == [[1, 1], [1]]
     # rank one: every fiber is a point
-    t = fiber_tower(Partition((3,)), 1)
-    assert t.total_dim == 0
+    assert _towers(3, 1)[(3,)] == [[0, 0, 0]]
     with pytest.raises(ParameterError):
-        fiber_tower(Partition((2,)), 0)
+        stratification_report(2, 0)
 
 
 def test_tower_total_dim_partition_independent():
     for d in range(0, 9):
         for r in range(1, 5):
-            for p in partitions(d):
-                assert fiber_tower(p, r).total_dim == d * (r - 1)
+            for tower in _towers(d, r).values():
+                assert sum(sum(chain) for chain in tower) == d * (r - 1)
 
 
 def test_stratum_dims():

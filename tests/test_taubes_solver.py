@@ -187,11 +187,14 @@ def test_problem_validation():
         VortexProblem(torus, ((1.0, 1.0, 0),), e2=1.0, tau=1.0)
     with pytest.raises(ParameterError):
         VortexProblem(torus, (), e2=-1.0, tau=1.0)
-    with pytest.raises(ParameterError):
-        VortexProblem(torus, (), e2=1.0, tau=1.0, reg_width=0.05)
+    # tol and max_iter are keyword-only, so the slot after tau takes no
+    # value: a caller that passed a width there must not set tol
+    for extra in ((0.5,), (None, 1e-8)):
+        with pytest.raises(TypeError):
+            VortexProblem(torus, (), 1.0, 1.0, *extra)
 
 
-@pytest.mark.parametrize("field", ["e2", "tau", "tol", "reg_width", "zero"])
+@pytest.mark.parametrize("field", ["e2", "tau", "tol", "zero"])
 def test_problem_rejects_non_finite(field):
     torus = TorusSpec(6.0, 6.0, 64, 64)
     kw = {"e2": 1.0, "tau": 1.0}
@@ -205,13 +208,15 @@ def test_problem_rejects_non_finite(field):
 
 
 def test_parse_config_rejects_non_finite():
-    base = "L1 = 6\nL2 = 6\nN1 = 64\nN2 = 64\ne2 = 1\ntau = 1\n"
+    values = {"L1": "6", "L2": "6", "N1": "64", "N2": "64", "e2": "1", "tau": "1"}
+    base = "".join("%s = %s\n" % kv for kv in values.items())
     with pytest.raises(ParameterError, match="line 7"):
         parse_config(base + "zero = nan 1 1\n")
-    for line in ("tol = nan", "reg_width = inf", "L1 = inf"):
-        key = line.split()[0]
-        with pytest.raises(ParameterError, match=key):
-            parse_config(base + line + "\n")
+    # each value replaces the key's line, so no repeated key raises first
+    for key, value in (("tol", "nan"), ("e2", "inf"), ("L1", "inf")):
+        text = "".join("%s = %s\n" % kv for kv in {**values, key: value}.items())
+        with pytest.raises(ParameterError, match="%s must be finite" % key):
+            parse_config(text)
 
 
 def test_parse_config_and_defaults():
@@ -380,6 +385,9 @@ def test_cg_iterations_per_newton_step():
         solve(replace(prob, max_iter=1))
     assert err.value.iterations == 1
     assert err.value.cg_iterations == (4,)
+    # the failure carries every grid's counts, the finest grid's last
+    assert err.value.levels[-1] == (256, 256, 1, sum(err.value.cg_iterations))
+    assert err.value.levels == ((64, 64, 1, 3), (128, 128, 1, 4), (256, 256, 1, 4))
 
 
 def test_cg_stops_once_newton_cannot_use_more_accuracy():
@@ -472,9 +480,6 @@ def _config_files(draw):
         kw["tol"] = values["tol"] = draw(st.floats(1e-14, 1e-2))
     if draw(st.booleans()):
         kw["max_iter"] = values["max_iter"] = draw(st.integers(1, 200))
-    if draw(st.booleans()):
-        kw["reg_width"] = values["reg_width"] = \
-            2.0 * max(torus.spacing) * draw(st.floats(1.0, 4.0))
     lines = [("%s = %r" % kv, None) for kv in values.items()]
     for _ in range(draw(st.integers(0, 3))):
         x, y = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))
