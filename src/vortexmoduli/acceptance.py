@@ -4,7 +4,8 @@ pytest (tests/test_acceptance.py) and from the command line (verify).
 Checks 1-8 are exact arithmetic; 9 and 10 solve the vortex equation on a
 256^2 grid and carry the stated float tolerances.  Only 9 and 10 need the
 solver, and with it numpy: the full ``run_all`` loads it before the first
-criterion, and ``run_all(fast=True)`` runs without it.
+criterion, and ``run_all(fast=True)`` runs without it.  A check fails by
+raising: an assertion, or any other exception, which its detail names.
 """
 
 from __future__ import annotations
@@ -317,6 +318,8 @@ def run_criterion(index: int) -> CriterionResult:
                 passed, detail = True, fn()
             except AssertionError as exc:
                 passed, detail = False, "assertion failed: %s" % (exc,)
+            except Exception as exc:
+                passed, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
             return CriterionResult(i, name, passed, detail, time.perf_counter() - start)
     raise ValueError("no criterion %d" % index)
 

@@ -2,11 +2,12 @@
 
 One subcommand per module.  Every subcommand prints exactly one strict-JSON
 line on stdout, with sorted keys and no nan or infinity; diagnostics go to
-stderr.  Exit codes: 0 success, 1 a failed ``verify``, 2 validation error
-or a ``vortex`` grid too large to allocate (``MemoryError``), 3 numerical
-non-convergence.  Exact rationals are serialized as strings "p/q" so
-nothing is lost on the wire; identical inputs to the exact-arithmetic
-subcommands produce byte-identical output.
+stderr.  Exit codes: 0 success, 1 a failed ``verify`` (a criterion that
+raises is a failed one), 2 validation error or a ``vortex`` grid too large
+to allocate (``MemoryError``), 3 numerical non-convergence.  Exact
+rationals are serialized as strings "p/q" so nothing is lost on the wire;
+identical inputs to the exact-arithmetic subcommands produce byte-identical
+output.
 
 Only ``vortex`` and the full ``verify`` import the solver, and with it
 numpy; the other subcommands start without it.  The solver's exceptions,

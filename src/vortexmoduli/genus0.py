@@ -14,10 +14,9 @@ in a parameter (t:s), and its degree is their common degree.  The rows of a
 sweep matrix shift the section, so its two contiguous column blocks that
 start at the section's first and last nonzero coefficients a and b are
 triangular, with minors a^(e+1) and b^(e+1).  ``curve_degree`` reads the
-degree off them and proves the base locus empty by their gcd alone (a power
-of s against a power of t); ``plucker_sweep`` expands every minor and is the
-reference route.  Form gcds are read in the chart x = 1, where coefficients
-ascend in y/x.
+degree off them and proves the base locus empty by exponents alone: a is a
+pure power of s and b a pure power of t, so the two minors share no factor;
+``plucker_sweep`` expands every minor and is the reference route.
 
 Everything here is pure and exact: Fractions for numbers, one binary form
 type for every polynomial, one minor routine, no floating point.  A float
@@ -144,13 +143,6 @@ class BinaryForm:
                 return i
         return self.degree + 1
 
-    def monic(self) -> "BinaryForm":
-        """Scale so the first nonzero coefficient is 1."""
-        for c in self.coefficients:
-            if c:
-                return self.scale(1 / c)
-        return self
-
     def __str__(self) -> str:
         if not self:
             return "0"
@@ -165,39 +157,6 @@ class BinaryForm:
             parts.append("%s*%s" % (c, mono) if abs(c) != 1 or mono == "1"
                          else ("-" + mono if c < 0 else mono))
         return " + ".join(parts)
-
-
-def _strip(coeffs: tuple) -> tuple:
-    end = len(coeffs)
-    while end and not coeffs[end - 1]:
-        end -= 1
-    return coeffs[:end]
-
-
-def _poly_rem(a: tuple, b: tuple) -> tuple:
-    """Remainder of ascending-coefficient rational polynomials (b nonzero)."""
-    rem = list(a)
-    inv = 1 / b[-1]
-    for shift in range(len(a) - len(b), -1, -1):
-        c = rem[shift + len(b) - 1] * inv
-        if c:
-            for i, bc in enumerate(b):
-                rem[shift + i] -= c * bc
-    return _strip(tuple(rem))
-
-
-def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Monic gcd of two binary forms (the zero form acts as an identity);
-    Euclid in the chart x = 1, the common power of x padded back as zeros."""
-    if not f:
-        return g.monic()
-    if not g:
-        return f.monic()
-    a, b = _strip(f.coefficients), _strip(g.coefficients)
-    xv = min(f.degree + 1 - len(a), g.degree + 1 - len(b))
-    while b:
-        a, b = b, _poly_rem(a, b)
-    return BinaryForm(len(a) - 1 + xv, a + (Fraction(0),) * xv).monic()
 
 
 def divisor_form(points: Sequence[tuple], multiplicities: Sequence[int]) -> BinaryForm:
@@ -460,15 +419,18 @@ def _sweep_degree(section: list, e: int) -> int:
     a and b are upper and lower triangular, with minors a^(e+1) and b^(e+1):
     the lexicographically first and last nonzero coordinates.  Every
     coordinate has degree (e+1) * deg a.  The gcd of all coordinates divides
-    gcd(a^(e+1), b^(e+1)), which has degree 0 exactly when gcd(a, b) does.
-    For both families a is a power of s and b a constant times a power of t.
+    gcd(a^(e+1), b^(e+1)).  For both families a is a power of s and b a
+    constant times a power of t, so that gcd is a constant: the proof reads
+    where the nonzero coefficients of a and b sit and divides nothing.  A
+    section of any other shape is refused, not trusted.
     """
     ends = [c for c in section if c]
     if not ends:
         raise ParameterError("degenerate sweep: all coordinates vanish")
-    if form_gcd(ends[0], ends[-1]).degree:
-        raise ParameterError("sweep coordinates share a base locus")
-    return (e + 1) * ends[0].degree
+    a, b = ends[0], ends[-1]
+    if a.y_valuation() != a.degree or any(b.coefficients[1:]):
+        raise ParameterError("cannot prove the sweep's base locus empty")
+    return (e + 1) * a.degree
 
 
 def plucker_sweep(family: str, d: int, delta: int, p=Fraction(2)) -> tuple:
@@ -477,9 +439,9 @@ def plucker_sweep(family: str, d: int, delta: int, p=Fraction(2)) -> tuple:
     Every coordinate, zero or not, has the curve degree.
 
     This is the reference route, expanding all C(delta+1, e+1) minors;
-    ``curve_degree`` needs only the two triangular blocks.  Both check that
-    the base locus is empty the same way (see ``_sweep_degree``) and raise
-    ParameterError if it is not.
+    ``curve_degree`` needs only the two triangular blocks.  Both prove the
+    base locus empty the same way, by the exponents of those blocks' minors
+    (see ``_sweep_degree``), and raise ParameterError if they cannot.
     """
     if delta < d:
         raise DeltaTooSmallError("delta too small for this pair")
@@ -500,7 +462,8 @@ def t_degree(coord: BinaryForm) -> Optional[int]:
 def curve_degree(family: str, d: int, delta: int, p=Fraction(2)) -> int:
     """Degree of the swept curve: the common degree (e+1) * deg of its
     Plucker coordinates, e = delta - d, read off the two triangular block
-    minors, whose gcd proves the base locus empty (see ``_sweep_degree``).
+    minors, a pure power of s and a pure power of t, whose exponents prove
+    the base locus empty (see ``_sweep_degree``).
     Equal to the degree of every coordinate of ``plucker_sweep``, without
     expanding the C(delta+1, e+1) minors."""
     if delta < d:

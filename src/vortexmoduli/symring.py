@@ -452,21 +452,17 @@ def parse_class(text: str, params: RingParams) -> CohomologyClass:
         raise ValueError("empty class expression")
     if text == "0":
         return zero(params)
-    # split into signed terms at top level (no parentheses in the grammar)
-    terms = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
+    # split into terms of at most one sign each at top level (no parentheses
+    # in the grammar); a sign with no term after it is in none of them
+    compact = text.replace(" ", "")
+    terms = re.findall(r"[+-]?[^+-]+", compact)
+    if "".join(terms) != compact:
+        raise ValueError("dangling sign in %r" % text)
     total = zero(params)
     for term in terms:
-        sign = Fraction(1)
-        if term.startswith("-"):
-            sign = Fraction(-1)
-            term = term[1:]
-        elif term.startswith("+"):
-            term = term[1:]
-        if not term:
-            raise ValueError("dangling sign in %r" % text)
-        coeff = sign
+        coeff = Fraction(-1 if term[0] == "-" else 1)
         cls = unit(params)
-        for tok in term.split("*"):
+        for tok in term.lstrip("+-").split("*"):
             if _FRACTION_RE.match(tok):
                 coeff *= Fraction(tok)
             else:

@@ -6,6 +6,7 @@ from math import pi, sqrt
 
 import pytest
 
+from vortexmoduli import kahler_class
 from vortexmoduli.cli import main
 
 
@@ -338,6 +339,14 @@ def test_validation_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["eta+", "eta--eta", "eta^2 - ", "-"])
+def test_ring_dangling_sign_exits_2(capsys, expr):
+    # a sign with no term after it is an error, not a term silently dropped
+    code, out, err = run_cli(capsys, "ring", expr, "--d", "2", "--g", "2")
+    assert (code, out) == (2, "")
+    assert "dangling sign" in json.loads(err)["error"]
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["strata", "--bogus", "1"])
@@ -519,6 +528,21 @@ def test_verify_reports_time_per_criterion(capsys):
         head = "PASS [%2d] %s: %s [" % (crit["index"], crit["name"], crit["detail"])
         assert line.startswith(head) and line.endswith(" s]"), line
         assert float(line[len(head):-len(" s]")]) >= 0.0
+
+
+def test_verify_reports_a_raising_criterion_as_failed(monkeypatch, capsys):
+    # an exception other than an assertion fails its criterion, names its
+    # type in the detail, and the other criteria still run and pass
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(kahler_class, "representability", boom)
+    code, out, err = run_cli(capsys, "verify", "--fast")
+    assert code == 1
+    criteria = json.loads(out, parse_constant=_reject_constant)["criteria"]
+    assert len(criteria) == len(err.splitlines()) == 8
+    failed = [(c["index"], c["detail"]) for c in criteria if not c["passed"]]
+    assert failed == [(8, "raised ValueError: boom")]
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,7 +17,6 @@ from vortexmoduli.genus0 import (
     curve_degree,
     divisor_form,
     embed_pair,
-    form_gcd,
     plucker,
     plucker_sweep,
     reconstruct,
@@ -42,15 +41,6 @@ def test_form_arithmetic():
         form(1, 0) + form(1, 0, 0)
     with pytest.raises(ParameterError):
         BinaryForm(2, (1, 0))
-
-
-def test_form_gcd_and_division():
-    f = form(1, 0) * form(1, 0) * form(0, 1) * form(1, -1)   # x^2 y (x-y)
-    g = form(1, 0) * form(0, 1) * form(0, 1)                 # x y^2
-    got = form_gcd(f, g)
-    assert got == (form(1, 0) * form(0, 1)).monic()
-    # gcd with the zero form is the other argument, made monic
-    assert form_gcd(BinaryForm.zero(2), f) == f.monic()
 
 
 def test_divisor_form():
@@ -410,13 +400,11 @@ _SWEEP_CASES = [(family, d, delta, p)
 def test_sweep_coordinates_have_no_common_factor(family, d, delta, p):
     coords = plucker_sweep(family, d, delta, p)
     nonzero = [c for c in coords if c]
-    # the gcd of every nonzero coordinate, folded in lexicographic order
-    g = nonzero[0]
-    for c in nonzero[1:]:
-        g = form_gcd(g, c)
-    assert g.degree == 0
-    # the first and last nonzero coordinates alone are already coprime
-    assert form_gcd(nonzero[0], nonzero[-1]).degree == 0
+    # coefficient i of a coordinate multiplies t^(deg-i) s^i: the first
+    # nonzero coordinate is a pure power of s and the last a pure power of
+    # t, so no form of positive degree divides both
+    assert not any(nonzero[0].coefficients[:-1])
+    assert not any(nonzero[-1].coefficients[1:])
     # they are the minors of the triangular blocks at the section's first
     # and last nonzero coefficients a and b: a^(e+1) and b^(e+1), up to sign
     ends = [c for c in genus0._sweep_section(family, d, p) if c]
