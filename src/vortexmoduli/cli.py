@@ -32,20 +32,12 @@ from .moduli_numerics import NonConvergenceError, ParameterError, StabilityError
 CONFIG_DIR_ENV = "VORTEXMODULI_CONFIG_DIR"
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return symring.format_fraction(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _emit(payload: dict) -> None:
-    """Print the payload as one JSON line; a nan or infinity raises
-    ValueError before any output, since it has no strict-JSON form."""
-    print(json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False))
+    """Print the payload as one JSON line, each Fraction as its string; a
+    nan or infinity raises ValueError before any output, since it has no
+    strict-JSON form."""
+    print(json.dumps(payload, sort_keys=True, allow_nan=False,
+                     default=symring.format_fraction))
 
 
 # ---------------------------------------------------------------------------

@@ -153,9 +153,13 @@ class BinaryForm:
             xs = "x^%d" % (self.degree - i) if self.degree - i > 1 else \
                 ("x" if self.degree - i == 1 else "")
             ys = "y^%d" % i if i > 1 else ("y" if i == 1 else "")
-            mono = "*".join(p for p in (xs, ys) if p) or "1"
-            parts.append("%s*%s" % (c, mono) if abs(c) != 1 or mono == "1"
-                         else ("-" + mono if c < 0 else mono))
+            mono = "*".join(p for p in (xs, ys) if p)
+            if not mono:
+                parts.append(str(c))
+            elif abs(c) != 1:
+                parts.append("%s*%s" % (c, mono))
+            else:
+                parts.append("-" + mono if c < 0 else mono)
         return " + ".join(parts)
 
 

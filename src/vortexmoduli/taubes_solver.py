@@ -80,26 +80,31 @@ smooth.  A grid with an odd side or a side below 128 points runs on one
 level, from u_lin.  ``max_iter`` caps the Newton steps of every level.
 
 Workspace: a solve allocates its arrays once, and every Newton step, CG
-step and line-search trial runs in them.  They come to ten grids: the
-source, seven grids u, res, x, p, q, z and spare, the complex rfft2
-coefficients (one grid), and the Fourier symbol and the reciprocal of
-the preconditioner's denominator (half a grid each).  x is the Newton
-step; res holds the residual, which CG then consumes as its r, and is
-scratch for the source and the prolongation before that; spare holds
-W - s during CG and the trial field u + alpha*x in the line search, and
-an accepted trial swaps spare and u.  p, q and z are CG's and, between
-CG runs, the Laplacian's and the residual's scratch.  FFTs write into the coefficient array and
-the output grid, and the Laplacian is built from slices.  Each in-place
-sequence runs the operations of the plain numpy expression it computes,
-in the same order, so its result is bit-identical to that expression's.
+step and line-search trial runs in them.  They come to nine and a half
+grids: the source, seven grids u, res, x, p, q, z and spare, the complex
+rfft2 coefficients (one grid), and the reciprocal of the preconditioner's
+denominator (half a grid).  The Fourier symbol is kept as its two 1-D
+factors, from which each shift rebuilds the reciprocal in place.  x is the
+Newton step; res holds the residual, which CG then consumes as its r;
+spare holds W - s during CG and the trial field u + alpha*x in the line
+search, and an accepted trial swaps spare and u.  p, q and z are CG's and,
+between CG runs, the Laplacian's and the residual's scratch.  FFTs write
+into the coefficient array and the output grid, and the Laplacian is built
+from slices.  Each in-place sequence runs the operations of the plain
+numpy expression it computes, in the same order, so its result is
+bit-identical to that expression's.  Each level's set-up (the symbol's
+factors, the source and the prolongation) and the reciprocal's rebuild at
+each shift write only their output; for their strided or broadcast sums
+numpy may allocate an iterator buffer of a few hundred kilobytes, whatever
+the grid size.
 
 The finest level's arrays are allocated first, before any coarse work, so
 a grid too large to allocate fails at once.  The coarse levels live
 inside them: the half grid's eight grids are the quarters of x and p,
-and its three spectral arrays lie in q, grids that stay idle until the
+and its two spectral arrays lie in q, a grid that stays idle until the
 fine Newton starts.  Each coarser level is carved the same way out of
 the one above it, so the multilevel solve needs no memory beyond the
-finest level's ten grids.
+finest level's nine and a half grids.
 
 A solve owns its workspace, and no array outlives it but the returned u;
 independent problems can run concurrently.  All reductions are plain
@@ -259,20 +264,15 @@ def _laplacian(u: np.ndarray, h1: float, h2: float, out: np.ndarray, work: np.nd
     return out
 
 
-def _fourier_symbol(torus: TorusSpec, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Eigenvalues of -Lap on the grid, laid out for rfft2, written into
-    ``out``; ``scratch`` has the same shape.  The sum runs on two full
-    arrays, as a broadcast sum would make numpy allocate iterator
-    buffers."""
+def _fourier_symbol(torus: TorusSpec) -> tuple:
+    """Eigenvalues of -Lap on the grid, laid out for rfft2, as two 1-D
+    factors: the eigenvalue of mode (k1, k2) is lam1[k1, 0] + lam2[k2]."""
     h1, h2 = torus.spacing
     k1 = np.arange(torus.N1)
     k2 = np.arange(torus.N2 // 2 + 1)
     lam1 = (2.0 - 2.0 * np.cos(2.0 * np.pi * k1 / torus.N1)) / (h1 * h1)
     lam2 = (2.0 - 2.0 * np.cos(2.0 * np.pi * k2 / torus.N2)) / (h2 * h2)
-    np.copyto(out, lam1[:, None])
-    np.copyto(scratch, lam2)
-    out += scratch
-    return out
+    return lam1[:, None], lam2
 
 
 def _periodic_gaussian(n: int, h: float, period: float, centre: float,
@@ -283,24 +283,23 @@ def _periodic_gaussian(n: int, h: float, period: float, centre: float,
     return np.exp(-(dx * dx) / (2.0 * width * width))
 
 
-def _source_grid(prob: VortexProblem, torus: TorusSpec, out: np.ndarray,
-                 bump: np.ndarray) -> np.ndarray:
+def _source_grid(prob: VortexProblem, torus: TorusSpec, out: np.ndarray) -> np.ndarray:
     """Sum of Gaussian bumps on ``torus``'s grid, each of prob's width and
-    normalized to discrete integral 4*pi*m, written into ``out``; ``bump``
-    is scratch of the same shape.  A bump is the outer product of two 1-D
-    Gaussians, so its discrete integral is the product of their sums."""
+    normalized to discrete integral 4*pi*m, written into ``out``.  A bump is
+    the outer product of two 1-D Gaussians, so its discrete integral is the
+    product of their sums, and the sum of the bumps is one contraction of
+    the stacked factors (zeros for a vacuum)."""
     h1, h2 = torus.spacing
     width = SOURCE_WIDTH_SPACINGS * max(prob.torus.spacing)
-    out.fill(0.0)
+    gxs, gys = [], []
     for (zx, zy, m) in prob.zeros:
         gx = _periodic_gaussian(torus.N1, h1, torus.L1, zx, width)
         gy = _periodic_gaussian(torus.N2, h2, torus.L2, zy, width)
         gx *= 4.0 * pi * m / (gx.sum() * gy.sum() * (h1 * h2))
-        # einsum forms the outer product unbuffered; np.multiply.outer
-        # would allocate an iterator buffer
-        np.einsum("i,j->ij", gx, gy, out=bump)
-        out += bump
-    return out
+        gxs.append(gx)
+        gys.append(gy)
+    return np.einsum("ki,kj->ij", np.reshape(gxs, (-1, torus.N1)),
+                     np.reshape(gys, (-1, torus.N2)), out=out)
 
 
 def _pcg(dweight: np.ndarray, precondition, r: np.ndarray, rtol: float, atol: float,
@@ -358,11 +357,12 @@ class _Level:
     that run there.
 
     ``grids`` holds eight grids of the level's shape: the source, u, res, x,
-    p, q, z and spare.  ``spectra`` holds the complex rfft2 coefficients,
-    the Fourier symbol and the reciprocal of the preconditioner's
-    denominator.  ``solve`` allocates the finest level's arrays;
-    ``coarser`` carves the next level's out of grids of this one that stay
-    idle until this level's Newton starts."""
+    p, q, z and spare.  ``spectra`` holds the complex rfft2 coefficients and
+    the reciprocal of the preconditioner's denominator.  The Fourier symbol
+    is kept as its two 1-D factors, lam1 (a column) and lam2.  ``solve``
+    allocates the finest level's arrays; ``coarser`` carves the next
+    level's out of grids of this one that stay idle until this level's
+    Newton starts."""
 
     def __init__(self, prob: VortexProblem, torus: TorusSpec, grids: list,
                  spectra: tuple):
@@ -370,14 +370,14 @@ class _Level:
         self.torus = torus
         self.grids = grids
         self.source, _, self.res, _, self.p, self.q, self.z, _ = grids
-        self.coeffs, self.symbol, self.recip = spectra
+        self.coeffs, self.recip = spectra
         self.real, self.imag = self.coeffs.real, self.coeffs.imag
-        _fourier_symbol(torus, self.symbol, self.recip)
+        self.lam1, self.lam2 = _fourier_symbol(torus)
 
     def coarser(self) -> Optional["_Level"]:
         """The half grid's level, or None when a side is odd or the half
         grid is below COARSE_MIN_N.  Its eight grids are the quarters of x
-        and p, and its spectra lie in q."""
+        and p, and its complex coefficients and reciprocal lie in q."""
         N1, N2 = self.torus.N1, self.torus.N2
         if N1 % 2 or N2 % 2 or min(N1, N2) < 2 * COARSE_MIN_N:
             return None
@@ -388,21 +388,21 @@ class _Level:
         size = shape[0] * shape[1]
         flat = self.q.reshape(-1)
         spectra = (flat[:2 * size].view(complex).reshape(shape),
-                   flat[2 * size:3 * size].reshape(shape),
-                   flat[3 * size:4 * size].reshape(shape))
+                   flat[2 * size:3 * size].reshape(shape))
         torus = TorusSpec(self.torus.L1, self.torus.L2, n1, n2)
         return _Level(self.prob, torus, grids, spectra)
 
     def set_shift(self, shift: float) -> None:
-        # recip = 1 / (symbol + shift)
-        np.add(self.symbol, shift, out=self.recip)
+        # recip = 1 / ((lam1 + lam2) + shift)
+        np.add(self.lam1, self.lam2, out=self.recip)
+        self.recip += shift
         np.divide(1.0, self.recip, out=self.recip)
 
     def transform(self, rhs: np.ndarray) -> None:
-        # coeffs = rfft2(rhs) / (symbol + shift); numpy divides a complex by
-        # a real c as the real and imaginary parts times 1/c, so multiplying
-        # the two parts in place by recip gives its quotient to the bit,
-        # with no complex copy of the denominator
+        # coeffs = rfft2(rhs) / ((lam1 + lam2) + shift); numpy divides a
+        # complex by a real c as the real and imaginary parts times 1/c, so
+        # multiplying the two parts in place by recip gives its quotient to
+        # the bit, with no complex copy of the denominator
         np.fft.rfft2(rhs, out=self.coeffs)
         np.multiply(self.real, self.recip, out=self.real)
         np.multiply(self.imag, self.recip, out=self.imag)
@@ -451,7 +451,7 @@ class _Level:
         prob, torus = self.prob, self.torus
         e2tau = prob.e2 * prob.tau
         _, u, res, x, p, q, z, spare = self.grids
-        _source_grid(prob, torus, self.source, res)
+        _source_grid(prob, torus, self.source)
         # initial guess: the constant-coefficient linearization u_lin,
         # (Lap - e2*tau) u_lin = S, plus the half grid's correction
         # prolonged; coeffs holds -rfft2(u_lin) until synthesize
@@ -460,7 +460,7 @@ class _Level:
         coarse = self.coarser()
         if coarse is not None:
             coarse.correction(max(COARSE_TOL, tol), levels)
-            _subtract_prolonged(self.coeffs, coarse.coeffs, coarse.torus, res)
+            _subtract_prolonged(self.coeffs, coarse.coeffs, coarse.torus)
         self.synthesize(u)
         np.negative(u, out=u)
         rnorm = self.residual_norm(u)
@@ -505,24 +505,15 @@ class _Level:
         return u, rnorm, iterations, tuple(cg_iterations), failure
 
 
-def _subtract_prolonged(coeffs: np.ndarray, coarse: np.ndarray, torus: TorusSpec,
-                        scratch: np.ndarray) -> None:
+def _subtract_prolonged(coeffs: np.ndarray, coarse: np.ndarray, torus: TorusSpec) -> None:
     """Subtract from the rfft2 coefficients ``coeffs`` the coarse grid's
     ``coarse`` (of ``torus``), zero-padded: every mode below the coarse
     Nyquist frequency on both axes lands on the same wave number, and the
-    coarse Nyquist modes are dropped.  ``scratch`` is a real grid of the
-    fine shape: each block of rows is laid out there in the fine shape
-    first, so that the subtraction runs on contiguous rows, where numpy
-    allocates no iterator buffer."""
-    n1, N1, width = torus.N1, coeffs.shape[0], coeffs.shape[1]
+    coarse Nyquist modes are dropped."""
+    n1, N1 = torus.N1, coeffs.shape[0]
     rows, negative, cols = (n1 + 1) // 2, (n1 - 1) // 2, (torus.N2 + 1) // 2
-    padded = scratch.reshape(-1)[:2 * rows * width].view(complex).reshape(rows, width)
-    padded[:, cols:] = 0.0
-    for fine, part in ((coeffs[:rows], coarse[:rows]),
-                       (coeffs[N1 - negative:], coarse[n1 - negative:])):
-        block = padded[:len(part)]
-        np.copyto(block[:, :cols], part[:, :cols])
-        np.subtract(fine, block, out=fine)
+    coeffs[:rows, :cols] -= coarse[:rows, :cols]
+    coeffs[N1 - negative:, :cols] -= coarse[n1 - negative:, :cols]
 
 
 def solve(prob: VortexProblem) -> TorusVortexState:
@@ -541,7 +532,7 @@ def solve(prob: VortexProblem) -> TorusVortexState:
     # is allocated before any coarse work, which runs inside it
     grids = [np.empty((torus.N1, torus.N2)) for _ in range(8)]
     shape = (torus.N1, torus.N2 // 2 + 1)
-    spectra = (np.empty(shape, dtype=complex), np.empty(shape), np.empty(shape))
+    spectra = (np.empty(shape, dtype=complex), np.empty(shape))
     levels = []
     u, rnorm, iterations, cg_iterations, failure = \
         _Level(prob, torus, grids, spectra).newton(prob.tol, levels)

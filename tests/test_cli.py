@@ -152,6 +152,11 @@ GOLDEN_GENUS0 = [
      '"0", "0", "0", "0", "0", "0", "0", "0", "1", "-1", "0", "1", "0", "0", "-1", '
      '"0", "0", "0"], "reconstructed": "x^2*y + -x*y^2", "smallest_delta": 3, '
      '"subspace_dim": 3}\n'),
+    # a constant form prints as its coefficient
+    (("genus0", "--s", "1"),
+     '{"basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "d": 0, '
+     '"delta": 2, "plucker": ["1"], "reconstructed": "1", "smallest_delta": 1, '
+     '"subspace_dim": 3}\n'),
     (("genus0", "--family", "d1", "--d", "4", "--delta", "7"),
      '{"coordinate_t_degrees": [0, 1, 2, 3, 3, 2, 3, 4, 4, 4, 5, 5, 6, 6, 6, 3, 4, '
      '5, 5, 5, 6, 6, 7, 7, 7, 6, 7, 7, 8, 8, 8, 9, 9, 9, 9, 4, 5, 6, 6, 6, 7, 7, 8, '
@@ -162,7 +167,7 @@ GOLDEN_GENUS0 = [
 
 @pytest.mark.parametrize("argv,expected", GOLDEN_GENUS0,
                          ids=["d0-2-3", "d1-3-5", "s-1,0,-1", "s-0,0,1", "s-1,0,0",
-                              "s-0,1,-1,0", "d1-4-7"])
+                              "s-0,1,-1,0", "s-1", "d1-4-7"])
 def test_genus0_golden_output(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

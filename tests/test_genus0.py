@@ -43,6 +43,15 @@ def test_form_arithmetic():
         BinaryForm(2, (1, 0))
 
 
+def test_constant_forms_print_their_coefficient():
+    # a degree-0 form prints as its coefficient alone, not as "c*1"
+    assert str(form(1)) == "1"
+    assert str(form(-1)) == "-1"
+    assert str(form(F(-3, 2))) == "-3/2"
+    assert str(form(0)) == "0"
+    assert str(form(F(-3, 2), 0, 1)) == "-3/2*x^2 + y^2"
+
+
 def test_divisor_form():
     f = divisor_form([(0, 1), (1, 1)], [2, 1])   # x^2 * (x - y)
     assert f == form(1, 0) * form(1, 0) * form(1, -1)

@@ -17,6 +17,8 @@ from vortexmoduli.taubes_solver import (
     _fourier_symbol,
     _laplacian,
     _pcg,
+    _periodic_gaussian,
+    _source_grid,
     _subtract_prolonged,
     bradlow_sweep,
     parse_config,
@@ -286,8 +288,8 @@ def _cg_operators(seed, shape=(64, 64), decades=0.5):
     rng = np.random.default_rng(seed)
     weight = 10.0 ** rng.uniform(-decades, decades, shape)
     shift = float(weight.mean())
-    spectral_shape = (shape[0], shape[1] // 2 + 1)
-    denom = _fourier_symbol(torus, np.empty(spectral_shape), np.empty(spectral_shape)) + shift
+    lam1, lam2 = _fourier_symbol(torus)
+    denom = (lam1 + lam2) + shift
 
     def apply_a(v):
         return -_roll_laplacian(v, h1, h2) + weight * v
@@ -359,8 +361,8 @@ def test_solve_holds_one_workspace():
     grid = 256 * 256 * 8
     half = 256 * (256 // 2 + 1) * 8
     # u, res, x, p, q, z, spare and the source; the complex coefficients;
-    # the symbol and the reciprocal denominator
-    workspace = 8 * grid + 2 * half + 2 * half
+    # the reciprocal denominator
+    workspace = 8 * grid + 2 * half + half
     tracemalloc.start()
     try:
         state = solve(prob)
@@ -461,9 +463,49 @@ def test_prolongation_is_exact_for_resolved_modes(coarse):
     nyquist = (n1 % 2 == 0) * (-1.0) ** i + (n2 % 2 == 0) * (-1.0) ** j
     spectrum = np.fft.rfft2(4.0 * (field(coarse_torus) + nyquist))
     coeffs = np.zeros((fine.N1, fine.N2 // 2 + 1), dtype=complex)
-    _subtract_prolonged(coeffs, spectrum, coarse_torus, np.full((fine.N1, fine.N2), np.nan))
+    _subtract_prolonged(coeffs, spectrum, coarse_torus)
     got = -np.fft.irfft2(coeffs, s=(fine.N1, fine.N2))
     assert np.abs(got - field(fine)).max() <= 1e-12
+
+
+def _loop_source(prob, torus):
+    """The source summed one bump at a time, the reference for the
+    contraction in _source_grid."""
+    h1, h2 = torus.spacing
+    width = taubes_solver.SOURCE_WIDTH_SPACINGS * max(prob.torus.spacing)
+    out = np.zeros((torus.N1, torus.N2))
+    for (zx, zy, m) in prob.zeros:
+        gx = _periodic_gaussian(torus.N1, h1, torus.L1, zx, width)
+        gy = _periodic_gaussian(torus.N2, h2, torus.L2, zy, width)
+        gx *= 4.0 * pi * m / (gx.sum() * gy.sum() * (h1 * h2))
+        out += np.multiply.outer(gx, gy)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_source_grid_matches_the_loop_over_zeros(seed):
+    # the one contraction over the stacked 1-D Gaussians gives the
+    # per-bump sum to the bit, for up to 8 zeros, clustered or spread, on
+    # odd and non-square grids, on the finest grid and a coarser one; a
+    # vacuum gives zeros; the discrete integral is 4*pi*d
+    rng = np.random.default_rng(seed)
+    L1, L2 = rng.uniform(3.0, 30.0, 2)
+    N1, N2 = (int(n) for n in rng.integers(32, 200, 2))
+    k = seed % 9
+    if seed % 3 == 0:
+        centre = rng.uniform(0.0, 1.0, 2) * (L1, L2)
+        points = centre + rng.normal(0.0, 0.3, (k, 2))
+    else:
+        points = rng.uniform(0.0, 1.0, (k, 2)) * (L1, L2)
+    zeros = tuple((x, y, int(m)) for (x, y), m in zip(points, rng.integers(1, 4, k)))
+    prob = VortexProblem(TorusSpec(L1, L2, N1, N2), zeros, e2=1.0, tau=1.0)
+    for torus in (prob.torus, TorusSpec(L1, L2, max(32, N1 // 2), max(32, N2 // 2))):
+        out = np.full((torus.N1, torus.N2), np.nan)
+        got = _source_grid(prob, torus, out)
+        assert got is out
+        assert np.array_equal(got, _loop_source(prob, torus))
+        h1, h2 = torus.spacing
+        assert abs(got.sum() * h1 * h2 - 4 * pi * prob.d) <= 1e-9 * max(1, prob.d)
 
 
 @st.composite
