@@ -12,9 +12,9 @@ output.
 Only ``vortex`` and the full ``verify`` import the solver, and with it
 numpy; the other subcommands start without it.  The solver's exceptions,
 ``StabilityError`` (exit 2, with ``critical_tau``) and
-``NonConvergenceError`` (exit 3), are defined in ``moduli_numerics``, so
-``main`` catches them without importing the solver.  Only ``verify``
-imports the acceptance suite.
+``NonConvergenceError`` (exit 3, with ``reason``), are defined in
+``moduli_numerics``, so ``main`` catches them without importing the
+solver.  Only ``verify`` imports the acceptance suite.
 """
 
 from __future__ import annotations
@@ -286,7 +286,7 @@ def main(argv=None) -> int:
         payload = args.func(args)
         _emit(payload)
     except NonConvergenceError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        print(json.dumps({"error": str(exc), "reason": exc.reason}), file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         detail = {"error": str(exc)}

@@ -49,14 +49,18 @@ class StabilityError(ValueError):
 class NonConvergenceError(RuntimeError):
     """A solve stopped without reaching its residual tolerance.
 
+    ``reason`` says why: "max_iter" (the Newton cap), "round_off_floor" (a
+    full step failed to lower a residual already at the round-off floor)
+    or "line_search" (every damped step above the floor failed).
     ``cg_iterations`` holds the CG steps of each Newton step attempted on
-    the finest grid, the one whose line search stalled included, and
-    ``levels`` one (N1, N2, Newton steps, CG steps) entry per grid the
+    the finest grid, a step whose line search stopped the solve included,
+    and ``levels`` one (N1, N2, Newton steps, CG steps) entry per grid the
     solve ran on, from the coarsest to the finest."""
 
-    def __init__(self, message: str, residual: float, iterations: int,
+    def __init__(self, message: str, reason: str, residual: float, iterations: int,
                  cg_iterations: tuple = (), levels: tuple = ()):
         super().__init__(message)
+        self.reason = reason
         self.residual = residual
         self.iterations = iterations
         self.cg_iterations = cg_iterations

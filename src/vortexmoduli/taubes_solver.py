@@ -55,7 +55,17 @@ Methods for Linear and Nonlinear Equations, SIAM 1995): since ||r||_inf
 up to the step's quadratic remainder, and more CG steps would buy
 accuracy that Newton discards.  Newton itself still returns only once the
 true nonlinear residual is at most tol.  Damping is residual
-backtracking with factor 1/2 down to steps of 2^-10.
+backtracking with factor 1/2 down to steps of 2^-10, except at the
+round-off floor.  Rounding u to float64 moves the five-point Laplacian by
+up to 2*eps*||u||_inf*(1/h1^2 + 1/h2^2), so once the residual is at most
+twice that, ROUND_OFF_FLOOR_FACTOR = 4 times eps*||u||_inf*(1/h1^2 +
+1/h2^2), no damped step can lower it by more than noise (Kelley, ch. 8).
+When a full step fails to lower a residual at that floor, Newton stops at
+once.  The floor is computed only after a failed full step, so a solve
+that never backtracks runs no operation for it.  On the finest grid each
+stop short of tol raises ``NonConvergenceError``, whose ``reason`` names
+it: "round_off_floor", "line_search" (halving failed above the floor) or
+"max_iter" (the Newton cap).
 
 Initial guess (nested iteration; Kelley, ch. 8): u_lin, the solution of
 the constant-coefficient linearization (Lap - e^2*tau) u_lin = S, plus
@@ -66,8 +76,8 @@ the nonlinear correction of the half grid prolonged,
 When N1 and N2 are both even and the half grid has at least COARSE_MIN_N
 = 64 points per side, the solve first runs the same problem (the same
 zeros and Gaussian width) on the N1/2 x N2/2 grid, itself started the
-same way, to residual max(COARSE_TOL, tol) with COARSE_TOL = 1e-3.  A coarse level never raises: at the Newton cap or a stalled line
-search it hands over the iterate it reached.  P is spectral prolongation:
+same way, to residual max(COARSE_TOL, tol) with COARSE_TOL = 1e-3.  A coarse level never raises: at the Newton cap, the round-off
+floor or a stalled line search it hands over the iterate it reached.  P is spectral prolongation:
 the coarse rfft2 spectrum is zero-padded, its Nyquist modes dropped.
 Newton's step count does not depend on the mesh (Allgower, Boehmer,
 Potra and Rheinboldt, SIAM J. Numer. Anal. 23, 1986), so this guess
@@ -142,6 +152,10 @@ __all__ = [
 ]
 
 MIN_NEWTON_STEP = 2.0 ** -10
+# the round-off floor of the residual in units of eps*||u||_inf*(1/h1^2 +
+# 1/h2^2): twice the five-point Laplacian's rounding bound (see the module
+# docstring)
+ROUND_OFF_FLOOR_FACTOR = 4.0
 CG_MAX_ITER = 2000
 # nested iteration: the smallest half grid a solve starts from, and the
 # residual that half grid is solved to (see the module docstring)
@@ -447,7 +461,8 @@ class _Level:
         """Damped inexact Newton from the initial guess, to residual ``tol``;
         appends (N1, N2, Newton steps, CG steps) to ``levels``.  Returns u,
         its residual, the Newton steps, the CG steps of each, and why
-        Newton stopped short (None once the residual is at most tol)."""
+        Newton stopped short as a (reason, message) pair, None once the
+        residual is at most tol."""
         prob, torus = self.prob, self.torus
         e2tau = prob.e2 * prob.tau
         _, u, res, x, p, q, z, spare = self.grids
@@ -471,8 +486,8 @@ class _Level:
 
         while rnorm > tol:
             if iterations >= prob.max_iter:
-                failure = ("no convergence within %d Newton iterations (residual %.3g)"
-                           % (prob.max_iter, rnorm))
+                failure = ("max_iter", "no convergence within %d Newton iterations "
+                           "(residual %.3g)" % (prob.max_iter, rnorm))
                 break
             # the linearized weight W = e2*tau*e^u, held in spare as W - mean(W)
             np.exp(u, out=spare)
@@ -492,9 +507,20 @@ class _Level:
                 trial_norm = self.residual_norm(spare)
                 if trial_norm < rnorm:
                     break
+                if alpha == 1.0:
+                    # computed only here, so a solve that never backtracks
+                    # runs no extra operation
+                    h1, h2 = torus.spacing
+                    floor = (ROUND_OFF_FLOOR_FACTOR * np.finfo(float).eps
+                             * max(u.max(), -u.min()) * (1.0 / (h1 * h1) + 1.0 / (h2 * h2)))
+                    if rnorm <= floor:
+                        failure = ("round_off_floor", "residual %.3g is at the round-off "
+                                   "floor %.3g, above tol %.3g" % (rnorm, floor, tol))
+                        break
                 alpha *= 0.5
             else:
-                failure = "line search stalled at residual %.3g" % rnorm
+                failure = ("line_search", "line search stalled at residual %.3g" % rnorm)
+            if failure is not None:
                 break
             # the next forcing term, by Eisenstat-Walker choice 2
             rtol = max(1e-12, min(1e-3, 0.9 * (trial_norm / rnorm) ** 2))
@@ -537,7 +563,8 @@ def solve(prob: VortexProblem) -> TorusVortexState:
     u, rnorm, iterations, cg_iterations, failure = \
         _Level(prob, torus, grids, spectra).newton(prob.tol, levels)
     if failure is not None:
-        raise NonConvergenceError(failure, rnorm, iterations, cg_iterations,
+        reason, message = failure
+        raise NonConvergenceError(message, reason, rnorm, iterations, cg_iterations,
                                   tuple(levels))
 
     phi2 = np.exp(u, out=grids[6])

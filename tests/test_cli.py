@@ -485,7 +485,20 @@ def test_vortex_non_convergence_exits_3(tmp_path, capsys):
     config = _vortex_config(tmp_path, tol="1e-14", max_iter="1")
     code, out, err = run_cli(capsys, "vortex", "--config", config)
     assert (code, out) == (3, "")
-    assert set(json.loads(err)) == {"error"}
+    assert set(json.loads(err)) == {"error", "reason"}
+    assert json.loads(err)["reason"] == "max_iter"
+
+
+def test_vortex_round_off_floor_exits_3(tmp_path, capsys):
+    # tol = 1e-14 lies below the residual float64 can represent on a 64^2
+    # grid: the solve stops at the round-off floor and says so on stderr
+    config = _vortex_config(tmp_path, tol="1e-14")
+    code, out, err = run_cli(capsys, "vortex", "--config", config)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    detail = json.loads(err, parse_constant=_reject_constant)
+    assert detail["reason"] == "round_off_floor"
+    assert "round-off floor" in detail["error"]
 
 
 def test_vortex_unallocatable_grid_exits_2(tmp_path, capsys):

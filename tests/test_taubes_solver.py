@@ -128,8 +128,9 @@ def test_solver_names_resolve_lazily():
 
 
 def test_max_iter_enforced():
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError) as err:
         solve(square_problem(1, 2.0, max_iter=1, tol=1e-14))
+    assert err.value.reason == "max_iter"
 
 
 def test_grid_convergence_of_fields():
@@ -401,6 +402,79 @@ def test_cg_stops_once_newton_cannot_use_more_accuracy():
     assert state.residual_norm <= prob.tol
     assert sum(state.cg_iterations) <= 9
     assert state.cg_iterations[-1] <= 6
+
+
+def _near_bradlow(eps, grid):
+    """Two zeros on an L1 x 1.3*L1 torus whose area is (1 + eps) times the
+    dissolving threshold 8*pi."""
+    area = 8 * pi * (1 + eps)
+    L1 = sqrt(area / 1.3)
+    L2 = 1.3 * L1
+    torus = TorusSpec(L1, L2, grid, grid)
+    return VortexProblem(torus, ((0.25 * L1, 0.3 * L2, 1), (0.7 * L1, 0.62 * L2, 1)),
+                         e2=1.0, tau=1.0)
+
+
+def _count_residual_norms(monkeypatch) -> list:
+    """Count the solver's residual evaluations: one for the initial guess
+    and one per line-search trial, on every grid."""
+    calls = [0]
+    residual_norm = taubes_solver._Level.residual_norm
+
+    def counted(level, v):
+        calls[0] += 1
+        return residual_norm(level, v)
+
+    monkeypatch.setattr(taubes_solver._Level, "residual_norm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make,steps,cg,calls", [
+    (lambda: replace(_acceptance_layout(256), tol=1e-12), 2, (3, 6, 3), 10),
+    (lambda: _near_bradlow(0.05, 512), 5, (2, 4, 1, 2, 1, 1), 17),
+], ids=["acceptance-256-tol-1e-12", "near-bradlow-512"])
+def test_stall_ends_at_the_round_off_floor(make, steps, cg, calls, monkeypatch):
+    # tol lies below the residual float64 can represent on these grids: the
+    # first full Newton step that fails to lower the residual ends the
+    # solve, with no halving of the step
+    prob = make()
+    counted = _count_residual_norms(monkeypatch)
+    with pytest.raises(NonConvergenceError, match="round-off floor") as err:
+        solve(prob)
+    assert err.value.reason == "round_off_floor"
+    assert err.value.residual > prob.tol
+    assert err.value.iterations == steps
+    assert err.value.cg_iterations == cg
+    assert counted[0] == calls
+
+
+def test_line_search_stall_without_the_floor(monkeypatch):
+    # with no floor the same request halves its step down to 2^-10 in vain
+    monkeypatch.setattr(taubes_solver, "ROUND_OFF_FLOOR_FACTOR", 0.0)
+    counted = _count_residual_norms(monkeypatch)
+    with pytest.raises(NonConvergenceError, match="line search stalled") as err:
+        solve(replace(_acceptance_layout(256), tol=1e-12))
+    assert err.value.reason == "line_search"
+    assert err.value.iterations == 3
+    assert err.value.cg_iterations == (3, 6, 3, 3)
+    assert counted[0] == 22
+
+
+def test_damping_still_works_above_the_floor(monkeypatch):
+    # four zeros of total degree 17 on a thin torus, one level from u_lin:
+    # the second full step raises the residual from 0.64, far above the
+    # round-off floor, and one halving rescues it
+    torus = TorusSpec(48.402, 5.754, 64, 32)
+    zeros = ((24.748, 2.822, 4), (7.517, 0.375, 7), (45.636, 5.285, 5), (16.261, 4.058, 1))
+    prob = VortexProblem(torus, zeros, e2=1.0, tau=1.0, tol=1e-8)
+    counted = _count_residual_norms(monkeypatch)
+    state = solve(prob)
+    assert state.residual_norm <= prob.tol
+    assert state.iterations == 8
+    assert state.cg_iterations == (7, 10, 12, 14, 14, 14, 15, 14)
+    # the initial guess, eight accepted trials and one rejected full step
+    assert counted[0] == 10
+    assert state.sup_phi2 == 0.9819204416520715
 
 
 def _double_zero_384x256():
