@@ -11,7 +11,6 @@ so importing the package does not load numpy.
 
 from .symring import (
     RingParams,
-    Monomial,
     CohomologyClass,
     eta,
     xi,

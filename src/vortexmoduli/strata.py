@@ -47,9 +47,6 @@ class Partition:
     def num_parts(self) -> int:
         return len(self.parts)
 
-    def __str__(self) -> str:
-        return "[%s]" % ",".join(str(p) for p in self.parts)
-
 
 def _descending(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     if n == 0:

@@ -28,8 +28,8 @@ normal form sum_{Q in P, |Q| <= k} (-1)^(k-|Q|) C(|P|-1-|Q|, k-|Q|)
 eta^(h+|P|-|Q|) xi_F sigma_Q; it vanishes when k < 0.  Each monomial is
 expanded directly, as a key (h, mask) with bit i of the mask standing for
 xi_i and an integer coefficient over one common denominator.  A class stores
-that reduced key map; ``from_terms`` builds a class from ``Monomial`` terms,
-and ``terms`` is the ``Monomial -> Fraction`` view, built when read.
+that reduced key map, and ``terms`` is the ``(h, xi_indices) -> Fraction``
+view, built when read.
 
 Each term xi_F sigma_Q is stored as the sorted xi_{F u Q u Q+g}, so it
 carries the Koszul sign of xi_F against xi_Q xi_{Q+g}: one swap for every
@@ -55,7 +55,6 @@ from typing import Mapping
 
 __all__ = [
     "RingParams",
-    "Monomial",
     "CohomologyClass",
     "zero",
     "unit",
@@ -85,48 +84,6 @@ class RingParams:
             raise ValueError("g must be >= 0")
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """A product eta^eta_power * xi_{i1} * ... * xi_{ik}, i1 < ... < ik."""
-
-    eta_power: int
-    xi_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.eta_power < 0:
-            raise ValueError("eta_power must be >= 0")
-        if any(a >= b for a, b in zip(self.xi_indices, self.xi_indices[1:])):
-            raise ValueError("xi_indices must be strictly increasing")
-
-    @property
-    def degree(self) -> int:
-        return 2 * self.eta_power + len(self.xi_indices)
-
-    def sort_key(self):
-        return (self.degree, self.eta_power, self.xi_indices)
-
-
-def _encode(params: RingParams, terms: Mapping[Monomial, Fraction]):
-    """Monomial -> rational map as ((eta_power, xi_mask) -> int, den), den
-    the lcm of the denominators; rejects xi indices outside 1..2g."""
-    top = 2 * params.g
-    den = lcm(*(c.denominator for c in terms.values()))
-    keys = {}
-    for m, c in terms.items():
-        s = m.xi_indices
-        if s and (s[0] < 1 or s[-1] > top):
-            raise ValueError("xi index %d out of range 1..%d"
-                             % (s[0] if s[0] < 1 else s[-1], top))
-        keys[(m.eta_power, sum(1 << i for i in s))] = c.numerator * (den // c.denominator)
-    return keys, den
-
-
-def _decode(keys: dict, den: int) -> dict:
-    """Inverse of _encode: Monomial -> Fraction(c, den)."""
-    return {Monomial(h, tuple(i for i in range(1, mask.bit_length()) if mask >> i & 1)):
-            Fraction(c, den) for (h, mask), c in keys.items()}
-
-
 def _koszul(s: int, t: int) -> int:
     """Sign of xi_s * xi_t against the sorted product, for disjoint masks:
     one odd-odd swap per a in s, b in t with a > b."""
@@ -151,8 +108,8 @@ def _raw_mul_terms(t1: dict, t2: dict) -> dict:
 
 
 def _normalize_terms(params: RingParams, terms: dict) -> dict:
-    """Reduce a key map (see _encode; the denominator is left alone) to
-    normal form by Macdonald's closed formula.
+    """Reduce a (eta_power, xi_mask) -> int key map (the denominator is left
+    alone) to normal form by Macdonald's closed formula.
 
     Write a monomial as +/- eta^h * xi_F * sigma_P, with P its complete
     pairs (bits j of s & (s >> g)) and F its lone factors, and let
@@ -225,15 +182,11 @@ class CohomologyClass:
         object.__setattr__(self, "keys", {k: c // div for k, c in self.keys.items() if c})
         object.__setattr__(self, "den", self.den // div)
 
-    @staticmethod
-    def from_terms(params: RingParams, terms: Mapping[Monomial, Fraction]) -> "CohomologyClass":
-        keys, den = _encode(params, terms)
-        return CohomologyClass(params, _normalize_terms(params, keys), den)
-
     @property
-    def terms(self) -> dict[Monomial, Fraction]:
-        """The class as a new ``Monomial -> Fraction`` map."""
-        return _decode(self.keys, self.den)
+    def terms(self) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+        """The class as a new ``(eta_power, xi_indices) -> Fraction`` map."""
+        return {(h, tuple(i for i in range(1, mask.bit_length()) if mask >> i & 1)):
+                Fraction(c, self.den) for (h, mask), c in self.keys.items()}
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         self._check(other)
@@ -394,14 +347,14 @@ def format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
-def _format_monomial(m: Monomial) -> str:
+def _format_monomial(h: int, xs: tuple[int, ...]) -> str:
     factors = []
-    if m.eta_power == 1:
+    if h == 1:
         factors.append("eta")
-    elif m.eta_power > 1:
-        factors.append("eta^%d" % m.eta_power)
-    if m.xi_indices:
-        factors.append("xi[%s]" % ",".join(str(i) for i in m.xi_indices))
+    elif h > 1:
+        factors.append("eta^%d" % h)
+    if xs:
+        factors.append("xi[%s]" % ",".join(str(i) for i in xs))
     return "*".join(factors)
 
 
@@ -409,8 +362,9 @@ def format_class(a: CohomologyClass) -> str:
     if a.is_zero():
         return "0"
     parts = []
-    for m, c in sorted(a.terms.items(), key=lambda mc: mc[0].sort_key()):
-        mono = _format_monomial(m)
+    # by degree, then eta-power, then xi indices
+    for (h, xs), c in sorted(a.terms.items(), key=lambda t: (2 * t[0][0] + len(t[0][1]), t[0])):
+        mono = _format_monomial(h, xs)
         coeff = format_fraction(abs(c))
         body = coeff if not mono else ("%s*%s" % (coeff, mono) if abs(c) != 1 else mono)
         if not parts:

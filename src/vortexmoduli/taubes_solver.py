@@ -242,7 +242,6 @@ class TorusVortexState:
     flux: float
     higgs_l2: float
     sup_phi2: float
-    max_u: float
     cg_iterations: tuple = ()
     levels: tuple = ()
 
@@ -578,7 +577,6 @@ def solve(prob: VortexProblem) -> TorusVortexState:
         flux=flux,
         higgs_l2=higgs_l2,
         sup_phi2=float(phi2.max()),
-        max_u=float(u.max()),
         cg_iterations=cg_iterations,
         levels=tuple(levels),
     )
@@ -660,12 +658,10 @@ def parse_config(text: str) -> VortexProblem:
     if missing:
         raise ParameterError("missing keys: %s" % ", ".join(sorted(missing)))
 
-    def number(key: str) -> float:
-        return require_finite(key, float(values[key]))
-
-    torus = TorusSpec(number("L1"), number("L2"), int(values["N1"]), int(values["N2"]))
-    e2, tau = number("e2"), number("tau")
-    optional = {"tol": number("tol")} if "tol" in values else {}
+    torus = TorusSpec(float(values["L1"]), float(values["L2"]), int(values["N1"]),
+                      int(values["N2"]))
+    e2, tau = float(values["e2"]), float(values["tau"])
+    optional = {"tol": float(values["tol"])} if "tol" in values else {}
     if "max_iter" in values:
         optional["max_iter"] = int(values["max_iter"])
     return VortexProblem(torus, tuple(zeros), e2, tau, **optional)

@@ -216,9 +216,8 @@ def monomial_tensor(params: RingParams, eta_power: int,
 def pullback(a: CohomologyClass) -> TensorClass:
     """Ring homomorphism determined by eta -> sum beta_i, xi_j -> sum alpha_{j,k}."""
     total = TensorClass(a.params, {})
-    for mono, coeff in a.terms.items():
-        total = total + monomial_tensor(a.params, mono.eta_power,
-                                        mono.xi_indices).scale(coeff)
+    for (eta_power, xi_indices), coeff in a.terms.items():
+        total = total + monomial_tensor(a.params, eta_power, xi_indices).scale(coeff)
     return total
 
 
