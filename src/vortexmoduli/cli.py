@@ -9,12 +9,14 @@ rationals are serialized as strings "p/q" so nothing is lost on the wire;
 identical inputs to the exact-arithmetic subcommands produce byte-identical
 output.
 
-Only ``vortex`` and the full ``verify`` import the solver, and with it
-numpy; the other subcommands start without it.  The solver's exceptions,
-``StabilityError`` (exit 2, with ``critical_tau``) and
-``NonConvergenceError`` (exit 3, with ``reason``), are defined in
-``moduli_numerics``, so ``main`` catches them without importing the
-solver.  Only ``verify`` imports the acceptance suite.
+Each subcommand imports the modules it runs, and a request loads no
+other: ``embed`` and ``stability`` run on ``moduli_numerics`` alone,
+``ring`` loads ``tensor_oracle`` only with ``--oracle``, and only
+``vortex`` and the full ``verify`` import the solver, and with it numpy.
+The solver's exceptions, ``StabilityError`` (exit 2, with
+``critical_tau``) and ``NonConvergenceError`` (exit 3, with ``reason``),
+are defined in ``moduli_numerics``, which ``main`` imports to catch them.
+Only ``verify`` imports the acceptance suite.
 """
 
 from __future__ import annotations
@@ -25,19 +27,23 @@ import os
 import sys
 from fractions import Fraction
 
-from . import genus0, kahler_class, moduli_numerics, strata, symring
-from . import tensor_oracle as oracle
+from . import moduli_numerics
 from .moduli_numerics import NonConvergenceError, ParameterError, StabilityError
 
 CONFIG_DIR_ENV = "VORTEXMODULI_CONFIG_DIR"
+
+
+def _fraction_text(value) -> str:
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
 def _emit(payload: dict) -> None:
     """Print the payload as one JSON line, each Fraction as its string; a
     nan or infinity raises ValueError before any output, since it has no
     strict-JSON form."""
-    print(json.dumps(payload, sort_keys=True, allow_nan=False,
-                     default=symring.format_fraction))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False, default=_fraction_text))
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +51,13 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_ring(args) -> dict:
+    from . import symring
+
     params = symring.RingParams(args.d, args.g)
     cls = symring.parse_class(args.expression, params)
     if args.oracle:
+        from . import tensor_oracle as oracle
+
         integral = oracle.oracle_integrate(oracle.pullback(cls))
     else:
         integral = symring.integrate(cls)
@@ -58,6 +68,8 @@ def cmd_ring(args) -> dict:
 
 
 def cmd_kahler(args) -> dict:
+    from . import kahler_class
+
     degs = kahler_class.curve_degrees(args.d, args.g, args.elldelta)
     cls = kahler_class.fs_coefficients(args.d, args.g, degs)
     out = {
@@ -107,11 +119,15 @@ def cmd_stability(args) -> dict:
 
 
 def cmd_strata(args) -> dict:
+    from . import strata
+
     rows = strata.stratification_report(args.d, args.r)
     return {"d": args.d, "r": args.r, "strata": rows}
 
 
 def cmd_genus0(args) -> dict:
+    from . import genus0
+
     if args.family:
         if args.d is None:
             raise ParameterError("--family needs --d")

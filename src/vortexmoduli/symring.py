@@ -342,11 +342,6 @@ def pairing(a: CohomologyClass, curve: int) -> Fraction:
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def format_fraction(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
-
-
 def _format_monomial(h: int, xs: tuple[int, ...]) -> str:
     factors = []
     if h == 1:
@@ -365,7 +360,7 @@ def format_class(a: CohomologyClass) -> str:
     # by degree, then eta-power, then xi indices
     for (h, xs), c in sorted(a.terms.items(), key=lambda t: (2 * t[0][0] + len(t[0][1]), t[0])):
         mono = _format_monomial(h, xs)
-        coeff = format_fraction(abs(c))
+        coeff = str(abs(c))
         body = coeff if not mono else ("%s*%s" % (coeff, mono) if abs(c) != 1 else mono)
         if not parts:
             parts.append(body if c > 0 else "-" + body)

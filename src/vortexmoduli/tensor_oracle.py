@@ -14,15 +14,18 @@ divides by d!, so that the image of eta^d integrates to 1.
 This module is the oracle that symring is checked against, so it shares
 no code with it and uses no ring relation: a product is brute force over
 every pair of d-tuples.  Only what does not change along the inner loop
-is taken out of it: the parity of the odd factors after each slot, once
-per tuple of the left factor, and the odd slots, once per tuple of the
-right one.
+is taken out of it: the product of every pair of factor basis elements,
+once per genus; the parity of the odd factors after each slot, once per
+tuple of the left factor; and the odd slots, once per tuple of the right
+one.  The generators have coefficient 1, so their products keep integer
+coefficients; a Fraction appears only where a class is scaled by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Iterable, Mapping
 
@@ -67,9 +70,16 @@ def _factor_mul(e1: int, e2: int, g: int):
     return None
 
 
-def _accumulate(out: dict, key: tuple[int, ...], c: Fraction) -> None:
+@cache
+def _slot_table(g: int) -> tuple:
+    """``_slot_table(g)[e1][e2]`` is ``_factor_mul(e1, e2, g)``."""
+    return tuple(tuple(_factor_mul(e1, e2, g) for e2 in range(2 * g + 2))
+                 for e1 in range(2 * g + 2))
+
+
+def _accumulate(out: dict, key: tuple[int, ...], c) -> None:
     """Add c to out[key], dropping the entry when the sum is zero."""
-    acc = out.get(key, Fraction(0)) + c
+    acc = out.get(key, 0) + c
     if acc:
         out[key] = acc
     else:
@@ -78,10 +88,11 @@ def _accumulate(out: dict, key: tuple[int, ...], c: Fraction) -> None:
 
 @dataclass(frozen=True)
 class TensorClass:
-    """Rational combination of d-tuples of factor basis elements."""
+    """Rational combination of d-tuples of factor basis elements; each
+    coefficient is an int or a Fraction."""
 
     params: RingParams
-    terms: Mapping[tuple[int, ...], Fraction]
+    terms: Mapping[tuple[int, ...], int | Fraction]
 
     def __add__(self, other: "TensorClass") -> "TensorClass":
         self._check(other)
@@ -123,7 +134,7 @@ class TensorClass:
 
 
 def unit_tensor(params: RingParams) -> TensorClass:
-    return TensorClass(params, {(0,) * params.d: Fraction(1)})
+    return TensorClass(params, {(0,) * params.d: 1})
 
 
 def generator_eta(params: RingParams) -> TensorClass:
@@ -133,7 +144,7 @@ def generator_eta(params: RingParams) -> TensorClass:
     for i in range(params.d):
         t = [0] * params.d
         t[i] = beta
-        terms[tuple(t)] = Fraction(1)
+        terms[tuple(t)] = 1
     return TensorClass(params, terms)
 
 
@@ -145,7 +156,7 @@ def generator_xi(params: RingParams, j: int) -> TensorClass:
     for k in range(params.d):
         t = [0] * params.d
         t[k] = j
-        terms[tuple(t)] = Fraction(1)
+        terms[tuple(t)] = 1
     return TensorClass(params, terms)
 
 
@@ -163,12 +174,13 @@ def _odd_flags(t: tuple[int, ...], g: int) -> int:
     return sum((_factor_degree(e, g) & 1) << i for i, e in enumerate(t))
 
 
-def _tuple_mul(s: tuple[int, ...], t: tuple[int, ...], g: int):
-    """Slotwise product of basis tuples, without the Koszul sign, or None."""
+def _tuple_mul(s: tuple[int, ...], t: tuple[int, ...], table: tuple):
+    """Slotwise product of basis tuples, without the Koszul sign, or None;
+    ``table`` is ``_slot_table(g)``."""
     coeff = 1
     out = []
     for e1, e2 in zip(s, t):
-        prod = _factor_mul(e1, e2, g)
+        prod = table[e1][e2]
         if prod is None:
             return None
         c, e = prod
@@ -183,12 +195,13 @@ def oracle_multiply(a: TensorClass, b: TensorClass) -> TensorClass:
     them flips the sign; both masks are taken once per tuple."""
     a._check(b)
     g = a.params.g
+    table = _slot_table(g)
     right = [(t, ct, _odd_flags(t, g)) for t, ct in b.terms.items()]
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int | Fraction] = {}
     for s, cs in a.terms.items():
         after = _odd_after(s, g)
         for t, ct, odd in right:
-            prod = _tuple_mul(s, t, g)
+            prod = _tuple_mul(s, t, table)
             if prod is None:
                 continue
             sign, tup = prod
@@ -225,7 +238,7 @@ def oracle_integrate(a: TensorClass) -> Fraction:
     """Coefficient of beta x ... x beta divided by d!."""
     d, g = a.params.d, a.params.g
     top = (2 * g + 1,) * d
-    return Fraction(a.terms.get(top, Fraction(0))) / factorial(d)
+    return Fraction(a.terms.get(top, 0), factorial(d))
 
 
 def permute_factors(a: TensorClass, perm: tuple[int, ...]) -> TensorClass:
@@ -237,7 +250,7 @@ def permute_factors(a: TensorClass, perm: tuple[int, ...]) -> TensorClass:
     d, g = a.params.d, a.params.g
     if sorted(perm) != list(range(d)):
         raise ValueError("not a permutation of 0..%d" % (d - 1))
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int | Fraction] = {}
     for t, c in a.terms.items():
         new = [0] * d
         for i, e in enumerate(t):

@@ -481,6 +481,59 @@ def test_only_the_solver_loads_numpy(tmp_path, argv, loads_numpy):
     assert proc.stdout.splitlines()[-1] == str(loads_numpy)
 
 
+# the last stdout line of the probe names the package modules the request loaded
+_MODULES_PROBE = ("import sys\n"
+                  "from vortexmoduli.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(' '.join(sorted(m.split('.', 1)[1] for m in sys.modules\n"
+                  "                      if m.startswith('vortexmoduli.'))))\n"
+                  "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (("strata", "--d", "3", "--r", "2"), "cli moduli_numerics strata"),
+    (("embed", "--n", "1", "--r", "1", "--d", "2", "--g", "2", "--ell", "1",
+      "--delta", "5"), "cli moduli_numerics"),
+    (("stability", "--e2", "1", "--tau", "1", "--vol", "30", "--d", "2"),
+     "cli moduli_numerics"),
+    (("ring", "2*eta^2 - 1/3*sigma*eta", "--d", "2", "--g", "2"),
+     "cli moduli_numerics symring"),
+    (("ring", "2*eta^2 - 1/3*sigma*eta", "--d", "2", "--g", "2", "--oracle"),
+     "cli moduli_numerics symring tensor_oracle"),
+    (("kahler", "--d", "3", "--g", "2", "--elldelta", "7"),
+     "cli kahler_class moduli_numerics symring"),
+    (("genus0", "--s", "1,0,-1"), "cli genus0 moduli_numerics"),
+    (("genus0", "--family", "d1", "--d", "3", "--delta", "5"), "cli genus0 moduli_numerics"),
+    (("vortex",), "cli moduli_numerics taubes_solver"),
+    (("verify", "--fast"),
+     "acceptance cli genus0 kahler_class moduli_numerics strata symring tensor_oracle"),
+], ids=["strata", "embed", "stability", "ring", "ring-oracle", "kahler", "genus0-s",
+        "genus0-family", "vortex", "verify-fast"])
+def test_each_subcommand_loads_only_its_modules(tmp_path, argv, modules):
+    if argv == ("vortex",):
+        argv += ("--config", _vortex_config(tmp_path))
+    proc = _fresh_python(_MODULES_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == modules
+
+
+def test_bare_import_loads_no_module():
+    # each exact module loads when first named on the package, and is the
+    # package attribute of that name from then on; in this order, none is
+    # loaded as another's dependency first
+    probe = ("import sys, vortexmoduli\n"
+             "seen = [m for m in sys.modules if m.startswith('vortexmoduli.')]\n"
+             "for name in sys.argv[1:]:\n"
+             "    seen.append('vortexmoduli.' + name in sys.modules)\n"
+             "    seen.append(getattr(vortexmoduli, name) is sys.modules['vortexmoduli.' + name])\n"
+             "print(seen)\n")
+    names = ("moduli_numerics", "strata", "genus0", "symring", "kahler_class",
+             "tensor_oracle")
+    proc = _fresh_python(probe, *names)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "%s\n" % ([False, True] * len(names))
+
+
 def test_vortex_non_convergence_exits_3(tmp_path, capsys):
     config = _vortex_config(tmp_path, tol="1e-14", max_iter="1")
     code, out, err = run_cli(capsys, "vortex", "--config", config)

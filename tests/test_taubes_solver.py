@@ -110,14 +110,36 @@ def test_solver_shares_the_stability_predicate():
         bradlow_sweep(template, [4 * pi * (1 + 1e-13)])
 
 
+# every name the package exports, by the module that defines it
+_PACKAGE_EXPORTS = {
+    "symring": ("RingParams", "CohomologyClass", "eta", "xi", "sigma", "sigma_j",
+                "multiply", "integrate", "pd_sigma0", "pairing", "parse_class"),
+    "tensor_oracle": ("TensorClass", "pullback", "oracle_multiply", "oracle_integrate"),
+    "moduli_numerics": ("EmbeddingParams", "PhysicalParams", "ParameterError",
+                        "StabilityError", "NonConvergenceError", "rr_dim",
+                        "grassmann_params", "moduli_dim", "stability_check"),
+    "kahler_class": ("KahlerClass2", "CurveDegrees", "l2_class", "curve_degrees",
+                     "fs_coefficients", "quantization", "representability",
+                     "symplectic_volume"),
+    "genus0": ("BinaryForm", "BinaryFormPair", "SubspaceBasis", "embed_pair", "plucker",
+               "reconstruct", "curve_degree"),
+    "strata": ("Partition", "partitions", "stratum_dim", "stratification_report"),
+    "taubes_solver": ("TorusSpec", "VortexProblem", "TorusVortexState", "solve",
+                      "bradlow_sweep"),
+}
+
+
 def test_solver_names_resolve_lazily():
+    import importlib
+
     import vortexmoduli
     from vortexmoduli import moduli_numerics, taubes_solver
 
-    for name in ("TorusSpec", "VortexProblem", "TorusVortexState", "StabilityError",
-                 "NonConvergenceError", "solve", "bradlow_sweep"):
-        assert getattr(vortexmoduli, name) is getattr(taubes_solver, name)
-        assert name in dir(vortexmoduli)
+    for module, names in _PACKAGE_EXPORTS.items():
+        defining = importlib.import_module("vortexmoduli." + module)
+        for name in names:
+            assert getattr(vortexmoduli, name) is getattr(defining, name), name
+            assert name in dir(vortexmoduli)
     for name in ("StabilityError", "NonConvergenceError"):
         assert getattr(taubes_solver, name) is getattr(moduli_numerics, name)
         assert name in taubes_solver.__all__
@@ -125,6 +147,21 @@ def test_solver_names_resolve_lazily():
     assert imported is solve
     with pytest.raises(AttributeError):
         vortexmoduli.no_such_name
+
+
+def test_star_import_gives_the_exact_layers():
+    # the 49 names the package gave before its names resolved lazily: each
+    # exact module and its exports, and none of the solver's, so a star
+    # import loads no numpy
+    namespace = {}
+    exec("from vortexmoduli import *", namespace)
+    del namespace["__builtins__"]
+    exact = {m: names for m, names in _PACKAGE_EXPORTS.items() if m != "taubes_solver"}
+    want = set(exact).union(*exact.values())
+    assert len(want) == 49
+    assert set(namespace) == want
+    import vortexmoduli
+    assert want | set(_PACKAGE_EXPORTS["taubes_solver"]) <= set(dir(vortexmoduli))
 
 
 def test_max_iter_enforced():

@@ -94,6 +94,32 @@ def test_pullback_is_ring_homomorphism(data):
     assert lhs == rhs
 
 
+def test_pullback_keeps_the_xi_order():
+    # an integral sees only eta^d, so it cannot tell xi_1 xi_3 from
+    # xi_3 xi_1 = -xi_1 xi_3; the tensor itself can
+    p = RingParams(2, 2)
+    want = to.oracle_multiply(to.generator_xi(p, 1), to.generator_xi(p, 3))
+    assert dict(want.terms) == {(5, 0): 1, (0, 5): 1, (1, 3): 1, (3, 1): -1}
+    assert to.pullback(sr.multiply(sr.xi(p, 1), sr.xi(p, 3))) == want
+
+
+def test_generator_products_keep_integer_coefficients():
+    p = RingParams(3, 2)
+    t = to.monomial_tensor(p, 1, (1, 4))
+    assert t.terms and all(type(c) is int for c in t.terms.values())
+    assert all(type(c) is Fraction for c in t.scale(Fraction(1, 2)).terms.values())
+
+
+@pytest.mark.parametrize("g", range(5))
+def test_slot_table_is_the_factor_product(g):
+    table = to._slot_table(g)
+    assert len(table) == 2 * g + 2
+    for e1 in range(2 * g + 2):
+        assert len(table[e1]) == 2 * g + 2
+        for e2 in range(2 * g + 2):
+            assert table[e1][e2] == to._factor_mul(e1, e2, g), (e1, e2)
+
+
 @pytest.mark.parametrize("d,g", [(2, 1), (3, 2)])
 def test_symmetric_group_invariance(d, g):
     params = RingParams(d, g)
