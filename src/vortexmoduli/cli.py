@@ -128,6 +128,8 @@ def cmd_strata(args) -> dict:
 def cmd_genus0(args) -> dict:
     from . import genus0
 
+    if args.s is not None and args.family:
+        raise ParameterError("give either --s or --family, not both")
     if args.family:
         if args.d is None:
             raise ParameterError("--family needs --d")

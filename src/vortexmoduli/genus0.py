@@ -4,11 +4,15 @@ the projective line, with exact rational arithmetic throughout.
 A moduli point is an n-tuple pair: a split bundle E = O(d_1) + ... + O(d_r)
 together with a matrix of binary forms realizing the section map O^n -> E.
 Twisting the dual inclusion by O(delta) embeds the section space of the
-twisted dual as a subspace of n copies of the degree-delta forms; its
-Plucker coordinates are the maximal minors of any basis matrix, built by a
-forward expansion down its rows.  The inverse direction reads the section
-(rank one) off the last row of the reduced echelon basis, which is y^e times
-it.  Sweeps measure the degrees of the two standard curves inside the
+twisted dual as a subspace of n copies of the degree-delta forms: the image
+of the multiplication map psi -> psi * M by the forms of degree e = delta -
+d_i.  That map is built once, in ``_shifts``: multiplying by x^(e-k) y^k
+shifts coefficients k places right.  It gives the embedding's rows, the
+sweep matrices' rows, and the reconstruction read-off.  Plucker coordinates
+are the maximal minors of any basis matrix, built by a forward expansion
+down its rows.  The inverse direction reads the section (rank one) off the
+last row of the reduced echelon basis, which is y^e times it, the map's last
+shift.  Sweeps measure the degrees of the two standard curves inside the
 symmetric power: each is a map P^1 -> P^N whose coordinates are binary forms
 in a parameter (t:s), and its degree is their common degree.  The rows of a
 sweep matrix shift the section, so its two contiguous column blocks that
@@ -88,12 +92,6 @@ class BinaryForm:
         object.__setattr__(self, "coefficients", tuple(
             c if isinstance(c, Fraction) else _rational("coefficient", c)
             for c in self.coefficients))
-
-    @staticmethod
-    def monomial(degree: int, y_power: int, coeff=1) -> "BinaryForm":
-        c = [Fraction(0)] * (degree + 1)
-        c[y_power] = coeff
-        return BinaryForm(degree, tuple(c))
 
     @staticmethod
     def zero(degree: int) -> "BinaryForm":
@@ -252,13 +250,6 @@ class SubspaceBasis:
     def ambient_dim(self) -> int:
         return self.n * (self.delta + 1)
 
-    def component_forms(self, vec_index: int) -> tuple:
-        """The n degree-delta forms making up one basis vector."""
-        row = self.basis[vec_index]
-        w = self.delta + 1
-        return tuple(BinaryForm(self.delta, row[j * w:(j + 1) * w])
-                     for j in range(self.n))
-
 
 def _rref(rows) -> list:
     """Reduced row echelon form over the rationals; zero rows dropped."""
@@ -309,7 +300,15 @@ def _maximal_minors(rows) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the embedding, its Plucker coordinates, and reconstruction
+# the multiplication map, the embedding, its Plucker coordinates, and
+# reconstruction
+
+
+def _shifts(coefficients: Sequence, e: int, zero) -> list:
+    """Multiplication by the degree-e forms: row k is ``coefficients`` times
+    x^(e-k) y^k, that is shifted k places right and padded with ``zero``."""
+    coefficients = list(coefficients)
+    return [[zero] * k + coefficients + [zero] * (e - k) for k in range(e + 1)]
 
 
 def embed_pair(pair: BinaryFormPair, delta: int) -> SubspaceBasis:
@@ -323,12 +322,12 @@ def embed_pair(pair: BinaryFormPair, delta: int) -> SubspaceBasis:
         raise ParameterError("delta must be >= 1")
     if delta < smallest_working_delta(pair):
         raise DeltaTooSmallError("delta too small for this pair")
+    zero = Fraction(0)
     vectors = []
     for row in pair.fs_matrix:
         e = delta - row[0].degree
-        for k in range(e + 1):
-            mono = BinaryForm.monomial(e, k)
-            vectors.append(tuple(c for f in row for c in (mono * f).coefficients))
+        for parts in zip(*(_shifts(f.coefficients, e, zero) for f in row)):
+            vectors.append(tuple(c for part in parts for c in part))
     return SubspaceBasis(tuple(vectors), pair.n, delta)
 
 
@@ -350,8 +349,9 @@ def reconstruct(basis: SubspaceBasis, n: int, delta: int) -> BinaryFormPair:
 
     Rank one only.  The subspace of a section s of degree d is {psi * s :
     deg psi = e = delta - d}; its one vector (up to scale) whose leading entry
-    lies furthest right is y^e * s, the last row of the reduced echelon basis,
-    so s is that row with the first e coefficients of each component dropped.
+    lies furthest right is y^e * s, the last row of the reduced echelon basis
+    and the last row of ``_shifts`` on s, so s is that row with the first e
+    coefficients of each component dropped.
     The result is canonically scaled and verified by re-embedding.  Higher
     rank (a larger subspace) raises ReconstructionError.
     """
@@ -363,12 +363,12 @@ def reconstruct(basis: SubspaceBasis, n: int, delta: int) -> BinaryFormPair:
     d = (delta + 1) - k
     if d < 0:
         raise ReconstructionError("subspace too large for a rank-1 pair")
-    e = delta - d
-    last = basis.component_forms(k - 1)
-    if any(any(f.coefficients[:e]) for f in last):
+    e, last = delta - d, basis.basis[-1]
+    starts = range(0, n * (delta + 1), delta + 1)
+    if any(any(last[j:j + e]) for j in starts):
         raise ReconstructionError("basis not saturating to a rank-1 subsheaf")
     pair = BinaryFormPair.from_section(
-        [BinaryForm(d, f.coefficients[e:]) for f in last]).canonical()
+        [BinaryForm(d, last[j + e:j + delta + 1]) for j in starts]).canonical()
     if embed_pair(pair, delta) != basis:
         raise ReconstructionError("basis not saturating to a rank-1 subsheaf")
     return pair
@@ -392,8 +392,10 @@ def smallest_working_delta(pair: BinaryFormPair) -> int:
 
 
 def _power_coefficients(d: int) -> list:
-    """Coefficients of (s*x - t*y)^d, descending in x, as forms in (t:s)."""
-    return [BinaryForm.monomial(d, d - i, (-1) ** i * comb(d, i)) for i in range(d + 1)]
+    """Coefficients of (s*x - t*y)^d, descending in x, as forms in (t:s):
+    the i-th is (-1)^i C(d, i) t^i s^(d-i), the unit shifted d - i places."""
+    units = _shifts((1,), d, 0)
+    return [BinaryForm(d, units[d - i]).scale((-1) ** i * comb(d, i)) for i in range(d + 1)]
 
 
 def _sweep_section(family: str, d: int, p: Fraction) -> list:
@@ -408,14 +410,13 @@ def _sweep_section(family: str, d: int, p: Fraction) -> list:
     if family == "d1":
         if d < 2:
             raise ParameterError("d1 family needs d >= 2")
-        inner = _power_coefficients(d - 1)
-        zero = BinaryForm.zero(d - 1)
-        return [a + (-p) * b for a, b in zip(inner + [zero], [zero] + inner)]
+        x_inner, y_inner = _shifts(_power_coefficients(d - 1), 1, BinaryForm.zero(d - 1))
+        return [a + b.scale(-p) for a, b in zip(x_inner, y_inner)]
     raise ParameterError("family must be 'd0' or 'd1'")
 
 
-def _sweep_degree(section: list, e: int) -> int:
-    """Curve degree of the sweep of ``section`` at e = delta - d, once its
+def _sweep(family: str, d: int, delta: int, p) -> tuple:
+    """The swept section and the curve degree at e = delta - d, once the
     base locus is proved empty; ParameterError if that proof fails.
 
     Row k of the sweep matrix is the section shifted k columns right, so the
@@ -428,13 +429,16 @@ def _sweep_degree(section: list, e: int) -> int:
     where the nonzero coefficients of a and b sit and divides nothing.  A
     section of any other shape is refused, not trusted.
     """
+    if delta < d:
+        raise DeltaTooSmallError("delta too small for this pair")
+    section, e = _sweep_section(family, d, _rational("p", p)), delta - d
     ends = [c for c in section if c]
     if not ends:
         raise ParameterError("degenerate sweep: all coordinates vanish")
     a, b = ends[0], ends[-1]
     if a.y_valuation() != a.degree or any(b.coefficients[1:]):
         raise ParameterError("cannot prove the sweep's base locus empty")
-    return (e + 1) * a.degree
+    return section, (e + 1) * a.degree
 
 
 def plucker_sweep(family: str, d: int, delta: int, p=Fraction(2)) -> tuple:
@@ -445,16 +449,10 @@ def plucker_sweep(family: str, d: int, delta: int, p=Fraction(2)) -> tuple:
     This is the reference route, expanding all C(delta+1, e+1) minors;
     ``curve_degree`` needs only the two triangular blocks.  Both prove the
     base locus empty the same way, by the exponents of those blocks' minors
-    (see ``_sweep_degree``), and raise ParameterError if they cannot.
+    (see ``_sweep``), and raise ParameterError if they cannot.
     """
-    if delta < d:
-        raise DeltaTooSmallError("delta too small for this pair")
-    section = _sweep_section(family, d, _rational("p", p))
-    e = delta - d
-    _sweep_degree(section, e)
-    zero = BinaryForm.zero(section[0].degree)
-    rows = [[zero] * k + section + [zero] * (e - k) for k in range(e + 1)]
-    return tuple(_maximal_minors(rows))
+    section, _ = _sweep(family, d, delta, p)
+    return tuple(_maximal_minors(_shifts(section, delta - d, BinaryForm.zero(section[0].degree))))
 
 
 def t_degree(coord: BinaryForm) -> Optional[int]:
@@ -467,9 +465,7 @@ def curve_degree(family: str, d: int, delta: int, p=Fraction(2)) -> int:
     """Degree of the swept curve: the common degree (e+1) * deg of its
     Plucker coordinates, e = delta - d, read off the two triangular block
     minors, a pure power of s and a pure power of t, whose exponents prove
-    the base locus empty (see ``_sweep_degree``).
+    the base locus empty (see ``_sweep``).
     Equal to the degree of every coordinate of ``plucker_sweep``, without
     expanding the C(delta+1, e+1) minors."""
-    if delta < d:
-        raise DeltaTooSmallError("delta too small for this pair")
-    return _sweep_degree(_sweep_section(family, d, _rational("p", p)), delta - d)
+    return _sweep(family, d, delta, p)[1]

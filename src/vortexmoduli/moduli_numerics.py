@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, isfinite, pi
+from operator import index
 
 __all__ = [
     "ParameterError",
     "StabilityError",
     "NonConvergenceError",
     "require_finite",
+    "require_int",
     "EmbeddingParams",
     "PhysicalParams",
     "GrassmannData",
@@ -78,6 +80,15 @@ def require_finite(name: str, value: float) -> float:
     if not finite:
         raise ParameterError("%s must be finite, got %r" % (name, value))
     return value
+
+
+def require_int(name: str, value) -> int:
+    """``value`` as an int; raise ParameterError when it is not an integer
+    (a float such as 2.0, nan or inf included)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ParameterError("%s must be an integer, got %r" % (name, value)) from None
 
 
 @dataclass(frozen=True)

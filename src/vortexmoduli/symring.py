@@ -197,18 +197,7 @@ class CohomologyClass:
         return CohomologyClass(self.params, out, den)
 
     def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
-        return self + (-1) * other
-
-    def __neg__(self) -> "CohomologyClass":
-        return (-1) * self
-
-    def __mul__(self, other):
-        if isinstance(other, CohomologyClass):
-            return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        return self + other.scale(-1)
 
     def __pow__(self, k: int) -> "CohomologyClass":
         if k < 0:

@@ -136,7 +136,7 @@ import numpy as np
 
 from .moduli_numerics import (NonConvergenceError, ParameterError, PhysicalParams,
                               StabilityError, StabilityReport, require_finite,
-                              stability_check)
+                              require_int, stability_check)
 
 __all__ = [
     "TorusSpec",
@@ -177,6 +177,8 @@ class TorusSpec:
     def __post_init__(self):
         require_finite("L1", self.L1)
         require_finite("L2", self.L2)
+        require_int("N1", self.N1)
+        require_int("N2", self.N2)
         if self.L1 <= 0 or self.L2 <= 0:
             raise ParameterError("periods must be positive")
         if self.N1 < 32 or self.N2 < 32:
@@ -204,13 +206,15 @@ class VortexProblem:
     max_iter: int = 50
 
     def __post_init__(self):
-        zs = tuple((float(x), float(y), int(m)) for (x, y, m) in self.zeros)
+        zs = tuple((float(x), float(y), require_int("multiplicity", m))
+                   for (x, y, m) in self.zeros)
         object.__setattr__(self, "zeros", zs)
         for (x, y, _) in zs:
             require_finite("zero coordinate", x)
             require_finite("zero coordinate", y)
         for name in ("e2", "tau", "tol"):
             require_finite(name, getattr(self, name))
+        require_int("max_iter", self.max_iter)
         if self.e2 <= 0 or self.tau <= 0:
             raise ParameterError("e2 and tau must be positive")
         if any(m < 1 for (_, _, m) in zs):

@@ -101,16 +101,6 @@ class TensorClass:
             _accumulate(out, t, c)
         return TensorClass(self.params, out)
 
-    def __sub__(self, other: "TensorClass") -> "TensorClass":
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, TensorClass):
-            return oracle_multiply(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
     def scale(self, const) -> "TensorClass":
         c = Fraction(const)
         if not c:

@@ -325,6 +325,14 @@ def test_genus0_subcommand(capsys):
     assert code == 2  # neither mode selected
 
 
+def test_genus0_refuses_both_modes(capsys):
+    # --s used to be ignored beside --family, printing the sweep alone
+    code, out, err = run_cli(capsys, "genus0", "--s", "0,0,1", "--family", "d0",
+                             "--d", "2")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "give either --s or --family, not both"}
+
+
 def test_genus0_working_twist_above_64(capsys):
     # x^65 - y^65: the least working twist is its degree, however large
     s = ",".join(["1"] + ["0"] * 64 + ["-1"])

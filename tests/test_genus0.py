@@ -122,6 +122,64 @@ def test_embed_rank_two():
     assert len(embed_pair(unb, 2).basis) == 4
 
 
+def _monomial(e, k):
+    """x^(e-k) y^k: the multiplication map's reference is the product by it."""
+    return BinaryForm(e, tuple(F(int(i == k)) for i in range(e + 1)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_multiplication_map_matches_form_products(r):
+    # embed_pair's rows are x^(e-k) y^k * f for each row of forms f of
+    # degree delta - e, k = 0..e: shifting f's coefficients k places right
+    # must give exactly the coefficients of that product
+    rng = random.Random(2900 + r)
+    checked = zero_entries = 0
+    while checked < 25:
+        n = r + rng.randint(0, 2)
+        rows = tuple(tuple(
+            BinaryForm.zero(deg) if rng.random() < 0.3 else
+            BinaryForm(deg, tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                                  for _ in range(deg + 1)))
+            for _ in range(n)) for deg in [rng.randint(0, 3) for _ in range(r)])
+        pair = BinaryFormPair(rows)
+        if not pair.has_full_rank():
+            continue
+        delta = smallest_working_delta(pair) + rng.randint(0, 2)
+        vectors = []
+        for row in rows:
+            e = delta - row[0].degree
+            shifted = [genus0._shifts(f.coefficients, e, F(0)) for f in row]
+            for k in range(e + 1):
+                products = [_monomial(e, k) * f for f in row]
+                assert [rows_k[k] for rows_k in shifted] == \
+                    [list(g.coefficients) for g in products]
+                vectors.append(tuple(c for g in products for c in g.coefficients))
+        basis = embed_pair(pair, delta)
+        assert basis == SubspaceBasis(tuple(vectors), n, delta)
+        assert len(basis.basis) == r * (delta + 1) - pair.d
+        checked += 1
+        zero_entries += sum(not f for row in rows for f in row)
+    assert zero_entries
+
+
+@pytest.mark.parametrize("family", ["d0", "d1"])
+def test_sweep_sections_match_form_products(family):
+    # the section's coefficients are forms in (t:s); at a point (t0:s0) they
+    # evaluate to the coefficients of (s0*x - t0*y)^d, or of
+    # (x - p*y) * (s0*x - t0*y)^(d-1) for d1
+    rng = random.Random(29)
+    for d in range(2, 7):
+        p = F(rng.randint(-3, 3), rng.randint(1, 3))
+        t0, s0 = F(rng.randint(-5, 5)), F(rng.randint(1, 5))
+        expected = form(1, -p) if family == "d1" else form(1)
+        for _ in range(d - expected.degree):
+            expected = expected * form(s0, -t0)
+        values = tuple(sum(c * t0 ** (f.degree - j) * s0 ** j
+                           for j, c in enumerate(f.coefficients))
+                       for f in genus0._sweep_section(family, d, p))
+        assert values == expected.coefficients
+
+
 def test_plucker_basis_independence():
     pair = BinaryFormPair.from_section([form(1, 2, 1)])
     basis = embed_pair(pair, 4)
@@ -444,7 +502,6 @@ def test_sweep_with_a_base_locus_raises(monkeypatch):
 def test_non_finite_floats_raise_parameter_error(bad):
     calls = [
         lambda: BinaryForm(1, (bad, 0)),
-        lambda: BinaryForm.monomial(2, 1, bad),
         lambda: form(1, 0) * bad,
         lambda: divisor_form([(bad, 1)], [1]),
         lambda: divisor_form([(0, bad)], [1]),

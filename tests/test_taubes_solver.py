@@ -247,6 +247,27 @@ def test_problem_rejects_non_finite(field):
         VortexProblem(torus, zeros, **kw)
 
 
+@pytest.mark.parametrize("field, make", [
+    ("N1", lambda torus: TorusSpec(6.0, 6.0, float("nan"), 64)),
+    ("N1", lambda torus: TorusSpec(6.0, 6.0, float("inf"), 64)),
+    ("N2", lambda torus: TorusSpec(6.0, 6.0, 64, 64.5)),
+    ("multiplicity", lambda torus: VortexProblem(torus, ((1.0, 1.0, 1.7),), e2=1.0, tau=1.0)),
+    ("multiplicity", lambda torus: VortexProblem(torus, ((1.0, 1.0, float("inf")),),
+                                                 e2=1.0, tau=1.0)),
+    ("multiplicity", lambda torus: VortexProblem(torus, ((1.0, 1.0, float("nan")),),
+                                                 e2=1.0, tau=1.0)),
+    ("max_iter", lambda torus: VortexProblem(torus, ((1.0, 1.0, 1),), e2=1.0, tau=1.0,
+                                             max_iter=float("nan"))),
+], ids=["N1-nan", "N1-inf", "N2-64.5", "multiplicity-1.7", "multiplicity-inf",
+        "multiplicity-nan", "max_iter-nan"])
+def test_integer_fields_reject_non_integers(field, make):
+    # a float grid size failed later with a TypeError, a fractional
+    # multiplicity was truncated (changing d) and a nan max_iter switched
+    # the Newton cap off; each is refused up front, naming the field
+    with pytest.raises(ParameterError, match="%s must be an integer" % field):
+        make(TorusSpec(6.0, 6.0, 64, 64))
+
+
 def test_parse_config_rejects_non_finite():
     values = {"L1": "6", "L2": "6", "N1": "64", "N2": "64", "e2": "1", "tau": "1"}
     base = "".join("%s = %s\n" % kv for kv in values.items())
