@@ -247,10 +247,11 @@ def check_quantization() -> str:
     return "q lands on d and d+1 at the two reference couplings; consistency iff q = d"
 
 
-def _pde_case(d: int):
+def _pde_case(vol: float, d: int):
+    """The solve at 256^2 on the square torus of area ``vol``: one vortex at
+    the centre for d = 1, the two-vortex layout for d = 2."""
     from . import taubes_solver
 
-    vol = 4 * pi * (d + 1)
     side = sqrt(vol)
     torus = taubes_solver.TorusSpec(side, side, 256, 256)
     if d == 1:
@@ -264,7 +265,7 @@ def _pde_case(d: int):
 def check_pde_integral_identity() -> str:
     details = []
     for d in (1, 2):
-        prob, state = _pde_case(d)
+        prob, state = _pde_case(4 * pi * (d + 1), d)
         vol = prob.torus.vol
         rel = abs(state.higgs_l2 - (vol - 4 * pi * d)) / vol
         flux_err = abs(state.flux - d)
@@ -275,17 +276,11 @@ def check_pde_integral_identity() -> str:
 
 
 def check_dissolving_limit() -> str:
-    from . import taubes_solver
-
     sups = []
     worst = 0.0
     for factor in (1.05, 1.5, 2.0):
         vol = 4 * pi * factor
-        side = sqrt(vol)
-        torus = taubes_solver.TorusSpec(side, side, 256, 256)
-        prob = taubes_solver.VortexProblem(
-            torus, ((side / 2, side / 2, 1),), e2=1.0, tau=1.0, tol=1e-10)
-        state = taubes_solver.solve(prob)
+        state = _pde_case(vol, 1)[1]
         target = vol - 4 * pi
         rel = abs(state.higgs_l2 - target) / target
         worst = max(worst, rel)

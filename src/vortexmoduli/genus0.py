@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import Optional, Sequence
 
-from .moduli_numerics import ParameterError, require_finite
+from .moduli_numerics import ParameterError, require_finite, require_int
 
 __all__ = [
     "BinaryForm",
@@ -85,8 +85,7 @@ class BinaryForm:
     coefficients: tuple
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ParameterError("form degree must be >= 0")
+        require_int("degree", self.degree, 0)
         if len(self.coefficients) != self.degree + 1:
             raise ParameterError("need degree+1 coefficients")
         object.__setattr__(self, "coefficients", tuple(
@@ -168,7 +167,7 @@ def divisor_form(points: Sequence[tuple], multiplicities: Sequence[int]) -> Bina
         lin = BinaryForm(1, (_rational("point", b), -_rational("point", a)))
         if not lin:
             raise ParameterError("(0:0) is not a point of the projective line")
-        for _ in range(m):
+        for _ in range(require_int("multiplicity", m, 0)):
             out = out * lin
     return out
 
@@ -318,8 +317,7 @@ def embed_pair(pair: BinaryFormPair, delta: int) -> SubspaceBasis:
     forms psi_i of degree delta - d_i to the row vector psi * fs_matrix; that
     map is injective (see ``smallest_working_delta``): dimension r*(delta+1) - d.
     """
-    if delta < 1:
-        raise ParameterError("delta must be >= 1")
+    require_int("delta", delta, 1)
     if delta < smallest_working_delta(pair):
         raise DeltaTooSmallError("delta too small for this pair")
     zero = Fraction(0)
@@ -355,7 +353,7 @@ def reconstruct(basis: SubspaceBasis, n: int, delta: int) -> BinaryFormPair:
     The result is canonically scaled and verified by re-embedding.  Higher
     rank (a larger subspace) raises ReconstructionError.
     """
-    if n != basis.n or delta != basis.delta:
+    if require_int("n", n) != basis.n or require_int("delta", delta) != basis.delta:
         raise ParameterError("n/delta inconsistent with the basis")
     k = len(basis.basis)
     if k == 0:
@@ -429,6 +427,8 @@ def _sweep(family: str, d: int, delta: int, p) -> tuple:
     where the nonzero coefficients of a and b sit and divides nothing.  A
     section of any other shape is refused, not trusted.
     """
+    require_int("d", d)
+    require_int("delta", delta)
     if delta < d:
         raise DeltaTooSmallError("delta too small for this pair")
     section, e = _sweep_section(family, d, _rational("p", p)), delta - d

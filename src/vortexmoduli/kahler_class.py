@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial, isfinite, pi
 from typing import Optional, Union
 
-from .moduli_numerics import ParameterError, PhysicalParams
+from .moduli_numerics import ParameterError, PhysicalParams, require_int
 from .symring import RingParams, eta, integrate, multiply, sigma, unit
 
 __all__ = [
@@ -56,8 +56,8 @@ class CurveDegrees:
     d1: int
 
     def __post_init__(self):
-        if self.d0 < 0 or self.d1 < 0:
-            raise ParameterError("curve degrees must be nonnegative")
+        require_int("d0", self.d0, 0)
+        require_int("d1", self.d1, 0)
 
 
 def l2_class(phys: PhysicalParams, d: int) -> KahlerClass2:
@@ -65,8 +65,7 @@ def l2_class(phys: PhysicalParams, d: int) -> KahlerClass2:
 
         (pi*tau*Vol - 4*pi^2*d/e^2) * eta + (2*pi^2/e^2) * sigma
     """
-    if d < 0:
-        raise ParameterError("degree d must be >= 0")
+    require_int("d", d, 0)
     c_eta = pi * phys.tau * phys.vol - 4.0 * pi ** 2 * d / phys.e2
     c_sigma = 2.0 * pi ** 2 / phys.e2
     return KahlerClass2(c_eta, c_sigma)
@@ -74,10 +73,9 @@ def l2_class(phys: PhysicalParams, d: int) -> KahlerClass2:
 
 def curve_degrees(d: int, g: int, elldelta: int) -> CurveDegrees:
     """d_j = (d-j) * (ell*delta + (d-j-1)*(g-1) - j) for j = 0, 1."""
-    if d < 2:
-        raise ParameterError("curve degrees need d >= 2")
-    if elldelta < 1:
-        raise ParameterError("ell*delta must be >= 1")
+    require_int("d", d, 2)
+    require_int("g", g, 0)
+    require_int("elldelta", elldelta, 1)
     vals = [(d - j) * (elldelta + (d - j - 1) * (g - 1) - j) for j in (0, 1)]
     return CurveDegrees(vals[0], vals[1])
 
@@ -89,10 +87,8 @@ def fs_coefficients(d: int, g: int, degrees: CurveDegrees) -> KahlerClass2:
     with the pairing values <eta, Sigma_j> = d-j and <sigma, Sigma_j> =
     (d-j)^2 * g, exactly over the rationals; det = -d*(d-1)*g is never 0.
     """
-    if d < 2:
-        raise ParameterError("need d >= 2")
-    if g < 1:
-        raise ParameterError("need g >= 1 (at genus 0 the two generators collapse)")
+    require_int("d", d, 2)
+    require_int("g", g, 1)   # at genus 0 the two generators collapse
     a00, a01 = Fraction(d), Fraction(d * d * g)
     a10, a11 = Fraction(d - 1), Fraction((d - 1) * (d - 1) * g)
     det = a00 * a11 - a01 * a10
@@ -140,10 +136,8 @@ def representability(phys: PhysicalParams, d: int, g: int) -> RepresentabilityRe
     the class is read there, where no coefficient overflows.  The two agree
     exactly when q = d; no choice is made between them.
     """
-    if d < 2:
-        raise ParameterError("need d >= 2")
-    if g < 1:
-        raise ParameterError("need g >= 1")
+    require_int("d", d, 2)
+    require_int("g", g, 1)   # at genus 0 the two generators collapse
     rep = quantization(phys)
     if not rep.is_integer:
         return RepresentabilityReport(rep.q, None, None, False)

@@ -3,7 +3,10 @@ spaces: Riemann-Roch counts, Grassmannian and Plucker ambient dimensions,
 the moduli dimension formula, and the stability inequality.
 
 All counting functions are exact integer arithmetic; only the physical
-stability data (coupling, tau, area) uses floats.
+stability data (coupling, tau, area) uses floats.  Every integer parameter
+of the exact layers and the solver goes through ``require_int``, which
+refuses a non-integer (2.0, nan and inf included) or a value below the
+parameter's bound with a ParameterError naming it.
 
 The solver's exceptions live here beside ParameterError, so code that only
 catches them (the CLI) need not import the solver and numpy.
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, isfinite, pi
 from operator import index
+from typing import Optional
 
 __all__ = [
     "ParameterError",
@@ -60,7 +64,7 @@ class NonConvergenceError(RuntimeError):
     solve ran on, from the coarsest to the finest."""
 
     def __init__(self, message: str, reason: str, residual: float, iterations: int,
-                 cg_iterations: tuple = (), levels: tuple = ()):
+                 cg_iterations: tuple, levels: tuple):
         super().__init__(message)
         self.reason = reason
         self.residual = residual
@@ -82,13 +86,16 @@ def require_finite(name: str, value: float) -> float:
     return value
 
 
-def require_int(name: str, value) -> int:
+def require_int(name: str, value, low: Optional[int] = None) -> int:
     """``value`` as an int; raise ParameterError when it is not an integer
-    (a float such as 2.0, nan or inf included)."""
+    (a float such as 2.0, nan or inf included) or is below ``low``."""
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise ParameterError("%s must be an integer, got %r" % (name, value)) from None
+    if low is not None and value < low:
+        raise ParameterError("%s must be >= %d, got %d" % (name, low, value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -109,16 +116,9 @@ class EmbeddingParams:
     delta: int
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ParameterError("rank r must be >= 1")
-        if self.n < self.r:
-            raise ParameterError("need n >= r")
-        if self.d < 0:
-            raise ParameterError("degree d must be >= 0")
-        if self.g < 0:
-            raise ParameterError("genus g must be >= 0")
-        if self.ell < 1 or self.delta < 1:
-            raise ParameterError("ell and delta must be >= 1")
+        for name, low in (("r", 1), ("d", 0), ("g", 0), ("ell", 1), ("delta", 1),
+                          ("n", self.r)):
+            require_int(name, getattr(self, name), low)
         if self.r * self.ell * self.delta < self.d + self.r * (self.g - 1):
             raise ParameterError(
                 "ell*delta = %d is below the required bound d/r + g - 1"
@@ -169,7 +169,7 @@ def grassmann_params(p: EmbeddingParams) -> GrassmannData:
     if p.elldelta <= 2 * p.g - 2:
         raise ParameterError("need ell*delta > 2g-2 for an exact section count")
     total = p.n * (p.elldelta + 1 - p.g)
-    sub = p.r * (p.elldelta - p.g + 1) - p.d   # >= 0 by EmbeddingParams' bound
+    sub = rr_dim(p)   # >= 0 by EmbeddingParams' bound
     gr = sub * (total - sub)
     ambient = comb(total, sub) - 1
     return GrassmannData(total, sub, gr, ambient)
@@ -180,8 +180,9 @@ def moduli_dim(n: int, r: int, d: int, g: int) -> int:
 
     Asserted when d > r*(g-1), or unconditionally in the local case n = r.
     """
-    if n < r:
-        raise ParameterError("need n >= r")
+    for name, value in (("r", r), ("d", d), ("g", g)):
+        require_int(name, value)
+    require_int("n", n, r)
     if not (d > r * (g - 1) or n == r):
         raise ParameterError(
             "dimension formula not asserted for n > r with d <= r*(g-1)")
@@ -213,10 +214,8 @@ def stability_check(phys: PhysicalParams, d: int, r: int = 1) -> StabilityReport
     dissolve.  A tau within relative tolerance of the critical value
     reports unstable.
     """
-    if r < 1:
-        raise ParameterError("rank r must be >= 1")
-    if d < 0:
-        raise ParameterError("degree d must be >= 0")
+    require_int("r", r, 1)
+    require_int("d", d, 0)
     lhs = r * phys.tau * phys.e2 * phys.vol
     margin = lhs - 4.0 * pi * d
     critical = 4.0 * pi * d / (r * phys.e2 * phys.vol)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .moduli_numerics import ParameterError
+from .moduli_numerics import ParameterError, require_int
 
 __all__ = [
     "Partition",
@@ -34,8 +34,8 @@ class Partition:
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-        if any(p < 1 for p in self.parts):
-            raise ParameterError("parts must be positive")
+        for p in self.parts:
+            require_int("part", p, 1)
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ParameterError("parts must be weakly decreasing")
 
@@ -59,8 +59,7 @@ def _descending(n: int, cap: int) -> Iterator[tuple[int, ...]]:
 
 def partitions(d: int) -> list[Partition]:
     """All partitions of d in reverse-lexicographic order ([d] first)."""
-    if d < 0:
-        raise ParameterError("d must be >= 0")
+    require_int("d", d, 0)
     return [Partition(p) for p in _descending(d, d if d else 1)]
 
 
@@ -70,8 +69,7 @@ def stratum_dim(p: Partition, r: int) -> int:
     a positions of distinct support points plus the tower over them.  Equals
     d*r exactly on the all-ones partition, which indexes the dense stratum.
     """
-    if r < 1:
-        raise ParameterError("rank r must be >= 1")
+    require_int("r", r, 1)
     return p.num_parts + p.total * (r - 1)
 
 

@@ -53,6 +53,8 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Mapping
 
+from .moduli_numerics import require_int
+
 __all__ = [
     "RingParams",
     "CohomologyClass",
@@ -78,10 +80,8 @@ class RingParams:
     g: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.g < 0:
-            raise ValueError("g must be >= 0")
+        require_int("d", self.d, 1)
+        require_int("g", self.g, 0)
 
 
 def _koszul(s: int, t: int) -> int:
@@ -200,8 +200,7 @@ class CohomologyClass:
         return self + other.scale(-1)
 
     def __pow__(self, k: int) -> "CohomologyClass":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
+        require_int("exponent", k, 0)
         out = unit(self.params)
         for _ in range(k):
             out = multiply(out, self)
@@ -250,12 +249,14 @@ def eta(params: RingParams) -> CohomologyClass:
 
 
 def xi(params: RingParams, j: int) -> CohomologyClass:
+    require_int("xi index", j)
     if not 1 <= j <= 2 * params.g:
         raise ValueError("xi index %d out of range 1..%d" % (j, 2 * params.g))
     return CohomologyClass(params, _normalize_terms(params, {(0, 1 << j): 1}))
 
 
 def sigma_j(params: RingParams, j: int) -> CohomologyClass:
+    require_int("sigma index", j)
     if not 1 <= j <= params.g:
         raise ValueError("sigma index %d out of range 1..%d" % (j, params.g))
     keys = {(0, 1 << j | 1 << (j + params.g)): 1}

@@ -177,12 +177,10 @@ class TorusSpec:
     def __post_init__(self):
         require_finite("L1", self.L1)
         require_finite("L2", self.L2)
-        require_int("N1", self.N1)
-        require_int("N2", self.N2)
+        require_int("N1", self.N1, 32)
+        require_int("N2", self.N2, 32)
         if self.L1 <= 0 or self.L2 <= 0:
             raise ParameterError("periods must be positive")
-        if self.N1 < 32 or self.N2 < 32:
-            raise ParameterError("grid sizes must be >= 32")
 
     @property
     def vol(self) -> float:
@@ -206,7 +204,7 @@ class VortexProblem:
     max_iter: int = 50
 
     def __post_init__(self):
-        zs = tuple((float(x), float(y), require_int("multiplicity", m))
+        zs = tuple((float(x), float(y), require_int("multiplicity", m, 1))
                    for (x, y, m) in self.zeros)
         object.__setattr__(self, "zeros", zs)
         for (x, y, _) in zs:
@@ -214,13 +212,11 @@ class VortexProblem:
             require_finite("zero coordinate", y)
         for name in ("e2", "tau", "tol"):
             require_finite(name, getattr(self, name))
-        require_int("max_iter", self.max_iter)
+        require_int("max_iter", self.max_iter, 1)
         if self.e2 <= 0 or self.tau <= 0:
             raise ParameterError("e2 and tau must be positive")
-        if any(m < 1 for (_, _, m) in zs):
-            raise ParameterError("multiplicities must be positive integers")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ParameterError("tol must be positive and max_iter >= 1")
+        if self.tol <= 0:
+            raise ParameterError("tol must be positive")
 
     @property
     def d(self) -> int:
@@ -246,8 +242,8 @@ class TorusVortexState:
     flux: float
     higgs_l2: float
     sup_phi2: float
-    cg_iterations: tuple = ()
-    levels: tuple = ()
+    cg_iterations: tuple
+    levels: tuple
 
     def __post_init__(self):
         self.u.setflags(write=False)

@@ -57,6 +57,12 @@ def test_divisor_form():
     assert f == form(1, 0) * form(1, 0) * form(1, -1)
 
 
+def test_divisor_form_refuses_a_negative_multiplicity():
+    # a negative multiplicity used to count as 0, giving the constant form 1
+    with pytest.raises(ParameterError, match="^multiplicity must be >= 0, got -1"):
+        divisor_form([(1, 2)], [-1])
+
+
 def test_embed_examples():
     # s = x*y, delta = 3: basis {x^2 y, x y^2}
     basis = embed_pair(BinaryFormPair.from_section([form(0, 1, 0)]), 3)

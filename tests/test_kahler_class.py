@@ -168,7 +168,7 @@ def test_representability_ratio_is_read_off_the_classes():
         phys = PhysicalParams(e2, 4 * pi * q / (e2 * vol), vol)
         rep = representability(phys, d, g)
         assert rep.consistent == (rep.elldelta_theorem == rep.elldelta_ratio)
-        fs = fs_coefficients(d, g, curve_degrees(d, g, rep.elldelta_ratio))
+        fs = fs_coefficients(d, g, curve_degrees(d, g, int(rep.elldelta_ratio)))
         l2 = l2_class(phys, d)
         assert float(fs.c_eta) * l2.c_sigma == pytest.approx(
             float(fs.c_sigma) * l2.c_eta, rel=1e-9), (d, g, e2, vol, q)

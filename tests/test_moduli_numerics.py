@@ -2,15 +2,23 @@ from math import pi
 
 import pytest
 
+from vortexmoduli.genus0 import (BinaryForm, BinaryFormPair, divisor_form, embed_pair,
+                                 reconstruct)
+from vortexmoduli.kahler_class import curve_degrees
 from vortexmoduli.moduli_numerics import (
     EmbeddingParams,
     ParameterError,
     PhysicalParams,
     grassmann_params,
     moduli_dim,
+    require_int,
     rr_dim,
     stability_check,
 )
+from vortexmoduli.strata import Partition
+from vortexmoduli.symring import RingParams, eta, xi
+
+NAN = float("nan")
 
 
 def test_rr_dim_values():
@@ -118,3 +126,40 @@ def test_physical_params_validation():
             values = {"e2": 1.0, "tau": 1.0, "vol": 1.0, field: bad}
             with pytest.raises(ParameterError, match=field):
                 PhysicalParams(**values)
+
+
+def test_require_int_messages():
+    assert require_int("k", 3) == 3
+    assert require_int("k", 3, 3) == 3
+    with pytest.raises(ParameterError) as err:
+        require_int("k", 2.0, 0)
+    assert str(err.value) == "k must be an integer, got 2.0"
+    with pytest.raises(ParameterError) as err:
+        require_int("k", 0, 1)
+    assert str(err.value) == "k must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("field, make", [
+    ("d", lambda: RingParams(NAN, 1)),
+    ("d", lambda: EmbeddingParams(n=2, r=1, d=3.5, g=2, ell=1, delta=8)),
+    ("part", lambda: Partition((NAN,))),
+    ("part", lambda: Partition((1.5,))),
+    ("d", lambda: moduli_dim(2, 2, NAN, 0)),
+    ("g", lambda: curve_degrees(2, NAN, 3)),
+    ("d", lambda: stability_check(PhysicalParams(1.0, 1.0, 30.0), NAN)),
+    ("degree", lambda: BinaryForm(2.0, (1, 2, 3))),
+    ("multiplicity", lambda: divisor_form([(1, 2)], [1.5])),
+    ("delta", lambda: reconstruct(embed_pair(BinaryFormPair.from_section(
+        [BinaryForm(1, (1, 2))]), 2), 1, 2.0)),
+    ("xi index", lambda: xi(RingParams(2, 2), 1.5)),
+    ("exponent", lambda: eta(RingParams(2, 2)) ** 2.0),
+], ids=["RingParams-d-nan", "EmbeddingParams-d-3.5", "Partition-nan", "Partition-1.5",
+        "moduli_dim-d-nan", "curve_degrees-g-nan", "stability_check-d-nan",
+        "BinaryForm-degree-2.0", "divisor_form-1.5",
+        "reconstruct-delta-2.0", "xi-1.5", "pow-2.0"])
+def test_exact_layers_reject_non_integers(field, make):
+    # each was accepted and gave a nan or fractional count, or (divisor_form,
+    # reconstruct, xi, the power) failed with a bare TypeError; each is
+    # refused up front, naming the field
+    with pytest.raises(ParameterError, match="^%s must be an integer" % field):
+        make()
