@@ -29,7 +29,11 @@ eta^(h+|P|-|Q|) xi_F sigma_Q; it vanishes when k < 0.  Each monomial is
 expanded directly, as a key (h, mask) with bit i of the mask standing for
 xi_i and an integer coefficient over one common denominator.  A class stores
 that reduced key map, and ``terms`` is the ``(h, xi_indices) -> Fraction``
-view, built when read.
+view, built when read.  Products, powers and parsing carry key maps from
+factor to factor, normalized after each, and build one class per result.
+A raw product xi_s * xi_t swaps each a in s past each b in t with a > b.
+Bit a of K_t, the XOR of -b over the bits b of t, is the parity of the
+b <= a, so the sign is (-1)^|s & K_t|: one mask per right-hand key.
 
 Each term xi_F sigma_Q is stored as the sorted xi_{F u Q u Q+g}, so it
 carries the Koszul sign of xi_F against xi_Q xi_{Q+g}: one swap for every
@@ -84,26 +88,25 @@ class RingParams:
         require_int("g", self.g, 0)
 
 
-def _koszul(s: int, t: int) -> int:
-    """Sign of xi_s * xi_t against the sorted product, for disjoint masks:
-    one odd-odd swap per a in s, b in t with a > b."""
-    swaps = 0
-    while t:
-        b = t & -t
-        swaps += (s & -b).bit_count()
-        t ^= b
-    return -1 if swaps & 1 else 1
-
-
 def _raw_mul_terms(t1: dict, t2: dict) -> dict:
-    """Bilinear product of key maps, no relation reduction (odd square = 0)."""
+    """Bilinear product of key maps, no relation reduction (odd square = 0);
+    the sign is taken from one mask per key of t2 (see the module docstring)."""
+    right = []
+    for (h2, s2), c2 in t2.items():
+        below, t = 0, s2
+        while t:
+            b = t & -t
+            below ^= -b
+            t ^= b
+        right.append((h2, s2, below, c2))
     out: dict[tuple[int, int], int] = {}
     for (h1, s1), c1 in t1.items():
-        for (h2, s2), c2 in t2.items():
+        for h2, s2, below, c2 in right:
             if s1 & s2:
                 continue
             key = (h1 + h2, s1 | s2)
-            out[key] = out.get(key, 0) + _koszul(s1, s2) * c1 * c2
+            c = c1 * c2
+            out[key] = out.get(key, 0) + (-c if (s1 & below).bit_count() & 1 else c)
     return out
 
 
@@ -166,6 +169,23 @@ def _normalize_terms(params: RingParams, terms: dict) -> dict:
     return result
 
 
+def _mul_keys(params: RingParams, t1: dict, t2: dict) -> dict:
+    """Normal form of the product of two key maps, zero entries dropped."""
+    out = _normalize_terms(params, _raw_mul_terms(t1, t2))
+    return {key: c for key, c in out.items() if c}
+
+
+def _power_keys(params: RingParams, keys: dict, k: int) -> dict:
+    """The k-th power of a key map, normalized after each factor; the loop
+    stops at the first zero, so a nilpotent map takes at most 2d + 1 steps."""
+    out = {(0, 0): 1}
+    for _ in range(k):
+        out = _mul_keys(params, out, keys)
+        if not out:
+            break
+    return out
+
+
 @dataclass(frozen=True)
 class CohomologyClass:
     """A rational cohomology class in normal form: ``keys`` maps (eta_power,
@@ -201,12 +221,9 @@ class CohomologyClass:
 
     def __pow__(self, k: int) -> "CohomologyClass":
         require_int("exponent", k, 0)
-        out = unit(self.params)
-        for _ in range(k):
-            out = multiply(out, self)
-            if out.is_zero():
-                break
-        return out
+        keys = _power_keys(self.params, self.keys, k)
+        # a zero power keeps den 1: den ** k could be huge for a nilpotent class
+        return CohomologyClass(self.params, keys, self.den ** k if keys else 1)
 
     def __hash__(self):  # the generated hash cannot hash the keys dict
         return hash((self.params, frozenset(self.keys.items()), self.den))
@@ -244,29 +261,34 @@ def unit(params: RingParams) -> CohomologyClass:
     return CohomologyClass(params, {(0, 0): 1})
 
 
+def _index(name: str, j: int, top: int) -> int:
+    require_int(name, j)
+    if not 1 <= j <= top:
+        raise ValueError("%s %d out of range 1..%d" % (name, j, top))
+    return j
+
+
+def _sigma_keys(g: int) -> dict:
+    return {(0, 1 << j | 1 << (j + g)): 1 for j in range(1, g + 1)}
+
+
 def eta(params: RingParams) -> CohomologyClass:
     return CohomologyClass(params, _normalize_terms(params, {(1, 0): 1}))
 
 
 def xi(params: RingParams, j: int) -> CohomologyClass:
-    require_int("xi index", j)
-    if not 1 <= j <= 2 * params.g:
-        raise ValueError("xi index %d out of range 1..%d" % (j, 2 * params.g))
-    return CohomologyClass(params, _normalize_terms(params, {(0, 1 << j): 1}))
+    keys = {(0, 1 << _index("xi index", j, 2 * params.g)): 1}
+    return CohomologyClass(params, _normalize_terms(params, keys))
 
 
 def sigma_j(params: RingParams, j: int) -> CohomologyClass:
-    require_int("sigma index", j)
-    if not 1 <= j <= params.g:
-        raise ValueError("sigma index %d out of range 1..%d" % (j, params.g))
+    j = _index("sigma index", j, params.g)
     keys = {(0, 1 << j | 1 << (j + params.g)): 1}
     return CohomologyClass(params, _normalize_terms(params, keys))
 
 
 def sigma(params: RingParams) -> CohomologyClass:
-    g = params.g
-    keys = {(0, 1 << j | 1 << (j + g)): 1 for j in range(1, g + 1)}
-    return CohomologyClass(params, _normalize_terms(params, keys))
+    return CohomologyClass(params, _normalize_terms(params, _sigma_keys(params.g)))
 
 
 def multiply(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
@@ -293,9 +315,9 @@ def pd_sigma0(params: RingParams) -> CohomologyClass:
     d, g = params.d, params.g
     if d <= 1:
         raise ValueError("pd_sigma0 requires d > 1")
-    lead = (eta(params) ** (d - 1)).scale(d * (d + (g - 1) * (d - 1)))
-    tail = multiply(eta(params) ** (d - 2), sigma(params)).scale(d * (d - 1))
-    return lead - tail
+    keys = {(d - 2, 1 << j | 1 << (j + g)): -d * (d - 1) for j in range(1, g + 1)}
+    keys[(d - 1, 0)] = d * (d + (g - 1) * (d - 1))
+    return CohomologyClass(params, _normalize_terms(params, keys))
 
 
 def pairing(a: CohomologyClass, curve: int) -> Fraction:
@@ -359,7 +381,9 @@ def format_class(a: CohomologyClass) -> str:
     return " ".join(parts)
 
 
-def _parse_factor(tok: str, params: RingParams) -> CohomologyClass:
+def _parse_factor(tok: str, params: RingParams) -> dict:
+    """Key map of one factor.  A power is normalized after each step; a
+    factor without an exponent is normalized by the product that takes it in."""
     tok = tok.strip()
     base, caret, exp = tok.partition("^")
     power = 1
@@ -369,19 +393,20 @@ def _parse_factor(tok: str, params: RingParams) -> CohomologyClass:
         power = int(exp)
     base = base.strip()
     if base == "eta":
-        return eta(params) ** power
-    if base == "sigma":
-        return sigma(params) ** power
-    m = re.match(r"^xi\[([0-9,\s]+)\]$", base)
-    if m:
-        out = unit(params)
+        keys = {(1, 0): 1}
+    elif base == "sigma":
+        keys = _sigma_keys(params.g)
+    elif m := re.match(r"^xi\[([0-9,\s]+)\]$", base):
+        keys = {(0, 0): 1}
         for idx in m.group(1).split(","):
-            out = multiply(out, xi(params, int(idx)))
-        return out ** power if power != 1 else out
-    m = re.match(r"^sigma\[(\d+)\]$", base)
-    if m:
-        return sigma_j(params, int(m.group(1))) ** power
-    raise ValueError("cannot parse factor %r" % tok)
+            xi_keys = {(0, 1 << _index("xi index", int(idx), 2 * params.g)): 1}
+            keys = _mul_keys(params, keys, xi_keys)
+    elif m := re.match(r"^sigma\[(\d+)\]$", base):
+        j = _index("sigma index", int(m.group(1)), params.g)
+        keys = {(0, 1 << j | 1 << (j + params.g)): 1}
+    else:
+        raise ValueError("cannot parse factor %r" % tok)
+    return keys if power == 1 else _power_keys(params, keys, power)
 
 
 def parse_class(text: str, params: RingParams) -> CohomologyClass:
@@ -400,11 +425,12 @@ def parse_class(text: str, params: RingParams) -> CohomologyClass:
     total = zero(params)
     for term in terms:
         coeff = Fraction(-1 if term[0] == "-" else 1)
-        cls = unit(params)
+        keys = {(0, 0): 1}
         for tok in term.lstrip("+-").split("*"):
             if _FRACTION_RE.match(tok):
                 coeff *= Fraction(tok)
             else:
-                cls = multiply(cls, _parse_factor(tok, params))
-        total = total + cls.scale(coeff)
+                keys = _mul_keys(params, keys, _parse_factor(tok, params))
+        total = total + CohomologyClass(
+            params, {key: coeff.numerator * c for key, c in keys.items()}, coeff.denominator)
     return total

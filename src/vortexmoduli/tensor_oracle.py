@@ -12,13 +12,14 @@ alpha_{j,k}; integration extracts the beta x ... x beta coefficient and
 divides by d!, so that the image of eta^d integrates to 1.
 
 This module is the oracle that symring is checked against, so it shares
-no code with it and uses no ring relation: a product is brute force over
-every pair of d-tuples.  Only what does not change along the inner loop
-is taken out of it: the product of every pair of factor basis elements,
-once per genus; the parity of the odd factors after each slot, once per
-tuple of the left factor; and the odd slots, once per tuple of the right
-one.  The generators have coefficient 1, so their products keep integer
-coefficients; a Fraction appears only where a class is scaled by one.
+no ring code with it (only the integer check of moduli_numerics) and uses
+no ring relation: a product is brute force over every pair of d-tuples.
+Only what does not change along the inner loop is taken out of it: the
+product of every pair of factor basis elements, once per genus; the parity
+of the odd factors after each slot, once per tuple of the left factor; and
+the odd slots, once per tuple of the right one.  The generators have
+coefficient 1, so their products keep integer coefficients; a Fraction
+appears only where a class is scaled by one.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from functools import cache
 from math import factorial
 from typing import Iterable, Mapping
 
+from .moduli_numerics import require_int
 from .symring import CohomologyClass, RingParams
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "pullback",
     "oracle_multiply",
     "oracle_integrate",
-    "permute_factors",
 ]
 
 # factor basis encoding: 0 is the unit, 1..2g are the alpha_j, 2g+1 is beta
@@ -127,27 +128,24 @@ def unit_tensor(params: RingParams) -> TensorClass:
     return TensorClass(params, {(0,) * params.d: 1})
 
 
+def _in_each_slot(params: RingParams, e: int) -> TensorClass:
+    """The sum of the d-tuples holding factor e in one slot, the unit elsewhere."""
+    d = params.d
+    return TensorClass(params, {tuple(e if k == i else 0 for k in range(d)): 1
+                                for i in range(d)})
+
+
 def generator_eta(params: RingParams) -> TensorClass:
     """Image of eta: one beta in each slot in turn."""
-    beta = 2 * params.g + 1
-    terms = {}
-    for i in range(params.d):
-        t = [0] * params.d
-        t[i] = beta
-        terms[tuple(t)] = 1
-    return TensorClass(params, terms)
+    return _in_each_slot(params, 2 * params.g + 1)
 
 
 def generator_xi(params: RingParams, j: int) -> TensorClass:
     """Image of xi_j: one alpha_j in each slot in turn."""
+    require_int("xi index", j)
     if not 1 <= j <= 2 * params.g:
         raise ValueError("xi index %d out of range 1..%d" % (j, 2 * params.g))
-    terms = {}
-    for k in range(params.d):
-        t = [0] * params.d
-        t[k] = j
-        terms[tuple(t)] = 1
-    return TensorClass(params, terms)
+    return _in_each_slot(params, j)
 
 
 def _odd_after(s: tuple[int, ...], g: int) -> int:
@@ -229,28 +227,3 @@ def oracle_integrate(a: TensorClass) -> Fraction:
     d, g = a.params.d, a.params.g
     top = (2 * g + 1,) * d
     return Fraction(a.terms.get(top, 0), factorial(d))
-
-
-def permute_factors(a: TensorClass, perm: tuple[int, ...]) -> TensorClass:
-    """Apply a permutation of the tensor slots with Koszul bookkeeping.
-
-    ``perm[i]`` is the slot the i-th factor moves to.  The sign is the parity
-    of the permutation restricted to odd-degree entries.
-    """
-    d, g = a.params.d, a.params.g
-    if sorted(perm) != list(range(d)):
-        raise ValueError("not a permutation of 0..%d" % (d - 1))
-    out: dict[tuple[int, ...], int | Fraction] = {}
-    for t, c in a.terms.items():
-        new = [0] * d
-        for i, e in enumerate(t):
-            new[perm[i]] = e
-        # inversions among odd entries: pairs i<j whose images swap order
-        sign = 1
-        odd_slots = [i for i, e in enumerate(t) if _factor_degree(e, g) % 2]
-        for ai in range(len(odd_slots)):
-            for bi in range(ai + 1, len(odd_slots)):
-                if perm[odd_slots[ai]] > perm[odd_slots[bi]]:
-                    sign = -sign
-        _accumulate(out, tuple(new), sign * c)
-    return TensorClass(a.params, out)

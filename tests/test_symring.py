@@ -10,7 +10,7 @@ import vortexmoduli.symring as symring
 from vortexmoduli.symring import (
     CohomologyClass,
     RingParams,
-    _koszul,
+    _mul_keys,
     _normalize_terms,
     _raw_mul_terms,
     eta,
@@ -26,6 +26,17 @@ from vortexmoduli.symring import (
     xi,
     zero,
 )
+
+
+def _koszul(s: int, t: int) -> int:
+    """Sign of xi_s * xi_t against the sorted product, for disjoint masks:
+    one odd-odd swap per a in s, b in t with a > b."""
+    swaps = 0
+    while t:
+        b = t & -t
+        swaps += (s & -b).bit_count()
+        t ^= b
+    return -1 if swaps & 1 else 1
 
 
 def test_params_validation():
@@ -526,3 +537,116 @@ def test_serialization_round_trip():
         parse_class("eta^-1", p)
     with pytest.raises(ValueError):
         parse_class("blah", p)
+
+
+# -- key-map products against the class-by-class route ----------------------
+
+
+def _random_expression(rng: random.Random, params: RingParams, parity):
+    """Text of a random class and the same class built as the left-to-right
+    ``multiply`` chain of its generators, one term at a time.  ``parity`` 0 or
+    1 gives every term that degree parity; None leaves each term's to chance."""
+    g = params.g
+    texts, total = [], zero(params)
+    for _ in range(rng.randint(1, 4)):
+        factors, cls, odd = [], unit(params), 0
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.choice(["eta", "sigma"] + (["xi", "sigma_j"] if g else []))
+            if kind == "eta":
+                text, base, n_xi = "eta", eta(params), 0
+            elif kind == "sigma":
+                text, base, n_xi = "sigma", sigma(params), 0
+            elif kind == "sigma_j":
+                j = rng.randint(1, g)
+                text, base, n_xi = "sigma[%d]" % j, sigma_j(params, j), 0
+            else:
+                idx = [rng.randint(1, 2 * g) for _ in range(rng.randint(1, 3))]
+                text, base, n_xi = "xi[%s]" % ",".join(map(str, idx)), unit(params), len(idx)
+                for i in idx:
+                    base = multiply(base, xi(params, i))
+            power = rng.randint(0, params.d + 1) if rng.random() < 0.3 else 1
+            for _ in range(power):
+                cls = multiply(cls, base)
+            odd ^= n_xi * power & 1
+            factors.append(text if power == 1 else "%s^%d" % (text, power))
+        if parity is not None and odd != parity:
+            j = rng.randint(1, 2 * g)
+            cls = multiply(cls, xi(params, j))
+            factors.append("xi[%d]" % j)
+        coeff = Fraction(rng.randint(0, 9), rng.randint(1, 4))
+        factors.insert(rng.randint(0, len(factors)), str(coeff))
+        sign = rng.choice("+-")
+        texts.append(sign + "*".join(factors))
+        total = total + cls.scale(coeff if sign == "+" else -coeff)
+    return "".join(texts), total
+
+
+def _random_expressions(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        params = RingParams(rng.randint(1, 7), rng.randint(0, 4))
+        parity = rng.choice([0, 1, None] if params.g else [0, None])
+        yield params, _random_expression(rng, params, parity)
+
+
+def test_parse_class_matches_multiply_chain():
+    # even, odd and inhomogeneous classes at d 1..7, g 0..4; a class's fields
+    # are canonical, so equal classes have equal keys and denominators
+    nonzero = 0
+    for params, (text, want) in _random_expressions(1962, 400):
+        got = parse_class(text, params)
+        assert (got.keys, got.den) == (want.keys, want.den), (params, text)
+        nonzero += not got.is_zero()
+    assert nonzero >= 200
+
+
+def test_power_matches_repeated_multiply():
+    for params, (text, _) in _random_expressions(2010, 150):
+        cls = parse_class(text, params)
+        want = unit(params)
+        for k in range(params.d + 3):
+            got = cls ** k
+            assert (got.keys, got.den) == (want.keys, want.den), (params, text, k)
+            want = multiply(want, cls)
+
+
+def _pairwise_raw_mul(t1: dict, t2: dict) -> dict:
+    """Reference: the raw product with a _koszul sign per pair of keys."""
+    out: dict = {}
+    for (h1, s1), c1 in t1.items():
+        for (h2, s2), c2 in t2.items():
+            if s1 & s2:
+                continue
+            key = (h1 + h2, s1 | s2)
+            out[key] = out.get(key, 0) + _koszul(s1, s2) * c1 * c2
+    return out
+
+
+def test_raw_product_signs_match_pairwise_koszul():
+    rng = random.Random(87)
+    for _ in range(500):
+        bits = rng.sample(range(1, 17), rng.randint(0, 16))
+        cut = rng.randint(0, len(bits))
+        s1, s2 = sum(1 << b for b in bits[:cut]), sum(1 << b for b in bits[cut:])
+        assert _raw_mul_terms({(0, s1): 1}, {(1, s2): 1}) == {(1, s1 | s2): _koszul(s1, s2)}
+    for _ in range(200):
+        t1, t2 = ({(rng.randint(0, 3), rng.getrandbits(12) << 1): rng.randint(-9, 9)
+                   for _ in range(rng.randint(1, 5))} for _ in range(2))
+        assert _raw_mul_terms(t1, t2) == _pairwise_raw_mul(t1, t2), (t1, t2)
+
+
+@pytest.mark.parametrize("text", ["sigma^1000000000", "xi[1]^1000000000",
+                                  "-1/3*eta*xi[1,2]^1000000000"])
+def test_huge_power_of_nilpotent_factor_is_zero_at_once(monkeypatch, text):
+    # the power loop stops at the first zero, within 2d + 1 steps; a loop
+    # that runs on fails at the first product past the bound
+    p = RingParams(3, 2)
+    calls = []
+
+    def counting(params, t1, t2):
+        calls.append(None)
+        assert len(calls) <= 2 * p.d + 4, "the power loop did not stop at zero"
+        return _mul_keys(params, t1, t2)
+
+    monkeypatch.setattr(symring, "_mul_keys", counting)
+    assert parse_class(text, p).is_zero()
