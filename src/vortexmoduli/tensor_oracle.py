@@ -130,9 +130,8 @@ def unit_tensor(params: RingParams) -> TensorClass:
 
 def _in_each_slot(params: RingParams, e: int) -> TensorClass:
     """The sum of the d-tuples holding factor e in one slot, the unit elsewhere."""
-    d = params.d
-    return TensorClass(params, {tuple(e if k == i else 0 for k in range(d)): 1
-                                for i in range(d)})
+    blank = (0,) * params.d
+    return TensorClass(params, {blank[:i] + (e,) + blank[i + 1:]: 1 for i in range(params.d)})
 
 
 def generator_eta(params: RingParams) -> TensorClass:
