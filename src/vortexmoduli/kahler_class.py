@@ -15,7 +15,7 @@ from math import comb, factorial, isfinite, pi
 from typing import Optional, Union
 
 from .moduli_numerics import ParameterError, PhysicalParams, require_int
-from .symring import RingParams, eta, integrate, multiply, sigma, unit
+from .symring import RingParams, eta_sigma_integrals
 
 __all__ = [
     "KahlerClass2",
@@ -153,23 +153,9 @@ def symplectic_volume(cls: KahlerClass2, d: int, g: int) -> Scalar:
 
     Both generators are even, so the binomial expansion applies; each mixed
     integral comes out of the exact ring model, never from a closed form.
-    The powers eta^(d-k) and sigma^k are built once each, by one multiply
-    per step in k.
     """
-    params = RingParams(d, g)
-    e, s = eta(params), sigma(params)
-    k_max = min(d, g)
-    eta_powers = [e ** (d - k_max)]  # eta^(d - k) is eta_powers[k_max - k]
-    for _ in range(k_max):
-        eta_powers.append(multiply(eta_powers[-1], e))
-    sigma_power = unit(params)
     total = 0  # the k = 0 term, weight 1, sets the type: Fraction or float
-    for k in range(0, k_max + 1):
-        if k:
-            sigma_power = multiply(sigma_power, s)
-        weight = integrate(multiply(eta_powers[k_max - k], sigma_power))
-        if not weight:
-            continue
+    for k, weight in enumerate(eta_sigma_integrals(RingParams(d, g))):
         term = comb(d, k) * weight * cls.c_eta ** (d - k) * cls.c_sigma ** k
         total = total + term
     return total / factorial(d)

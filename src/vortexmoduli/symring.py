@@ -21,6 +21,12 @@ quotient is the set of monomials eta^h * xi_S with h + |S| <= d.  In top
 degree 2d only eta^d survives, which is the fundamental class; integration
 just reads off its coefficient.
 
+The relations form an ideal, so the integral of a product is a linear
+functional on the raw product: it needs no normal form.  Only a raw monomial
+eta^h * xi_P * xi_{P+g} with h + |P| = d reaches eta^d (Q = F = {} and k = 0
+in the formula below), with weight (-1)^(|P|(|P|-1)/2); every other raw
+monomial integrates to 0.  Volumes and the Sigma_0 pairing are read this way.
+
 The reduction is one closed formula (Macdonald, "Symmetric products of an
 algebraic curve", Topology 1, 1962).  A monomial eta^h * xi_F * sigma_P with
 complete pairs P and lone factors F has, with k = d - h - |F| - |P|, the
@@ -72,6 +78,7 @@ __all__ = [
     "integrate",
     "pd_sigma0",
     "pairing",
+    "eta_sigma_integrals",
     "parse_class",
 ]
 
@@ -167,6 +174,22 @@ def _normalize_terms(params: RingParams, terms: dict) -> dict:
                 break
             sub = (sub - 1) & pairs
     return result
+
+
+def _top(params: RingParams, keys: dict) -> int:
+    """The eta^d coefficient that ``_normalize_terms`` would give an unreduced
+    key map: the sum of (-1)^(|P|(|P|-1)/2) * c over its pair-closed monomials
+    eta^h * xi_P * xi_{P+g} with h + |P| = d (see the module docstring)."""
+    d, g = params.d, params.g
+    total = 0
+    for (h, s), c in keys.items():
+        pairs = s & (s >> g)
+        if s != pairs | pairs << g:
+            continue
+        n = pairs.bit_count()
+        if h + n == d:
+            total += -c if n & 2 else c
+    return total
 
 
 def _mul_keys(params: RingParams, t1: dict, t2: dict) -> dict:
@@ -307,24 +330,31 @@ def integrate(a: CohomologyClass) -> Fraction:
     return Fraction(a.keys.get((a.params.d, 0), 0), a.den)
 
 
+def _pd_sigma0_keys(params: RingParams) -> dict:
+    d, g = params.d, params.g
+    keys = {(d - 2, 1 << j | 1 << (j + g)): -d * (d - 1) for j in range(1, g + 1)}
+    keys[(d - 1, 0)] = d * (d + (g - 1) * (d - 1))
+    return keys
+
+
 def pd_sigma0(params: RingParams) -> CohomologyClass:
     """Poincare dual of the diagonal curve {d*x} inside the symmetric power:
 
         d*(d + (g-1)(d-1)) * eta^(d-1)  -  d*(d-1) * eta^(d-2) * sigma
     """
-    d, g = params.d, params.g
-    if d <= 1:
+    if params.d <= 1:
         raise ValueError("pd_sigma0 requires d > 1")
-    keys = {(d - 2, 1 << j | 1 << (j + g)): -d * (d - 1) for j in range(1, g + 1)}
-    keys[(d - 1, 0)] = d * (d + (g - 1) * (d - 1))
-    return CohomologyClass(params, _normalize_terms(params, keys))
+    return CohomologyClass(params, _normalize_terms(params, _pd_sigma0_keys(params)))
 
 
 def pairing(a: CohomologyClass, curve: int) -> Fraction:
     """Duality pairing of a degree-2 class against the curve class Sigma_j.
 
     ``curve`` is 0 for the diagonal curve {d*x} and 1 for {p + (d-1)*x}.
-    The Sigma_0 pairing goes through the Poincare dual; Sigma_1 pulls back
+    The Sigma_0 pairing is the integral of the product with the Poincare
+    dual, ``integrate(multiply(a, pd_sigma0(a.params)))``, read by the
+    top-degree functional off the raw product with the dual's unreduced keys
+    (see the module docstring).  Sigma_1 pulls back
     along x -> p + (d-1)x, under which eta -> (d-1)*beta and
     xi_i -> (d-1)*alpha_i.
     """
@@ -338,7 +368,8 @@ def pairing(a: CohomologyClass, curve: int) -> Fraction:
     if curve == 0:
         if d == 1:
             return integrate(a)
-        return integrate(multiply(a, pd_sigma0(a.params)))
+        return Fraction(_top(a.params, _raw_mul_terms(a.keys, _pd_sigma0_keys(a.params))),
+                        a.den)
     total = 0
     for (h, s), c in a.keys.items():
         if h:
@@ -346,6 +377,23 @@ def pairing(a: CohomologyClass, curve: int) -> Fraction:
         elif s & (s >> g):
             total += c * (d - 1) ** 2
     return Fraction(total, a.den)
+
+
+def eta_sigma_integrals(params: RingParams) -> list[Fraction]:
+    """The integrals of eta^(d-k) * sigma^k for k = 0..min(d, g).
+
+    Each is read by the top-degree functional off the raw power sigma^k,
+    which has C(g, k) keys (none past k = g).
+    """
+    d = params.d
+    sigma_keys = _sigma_keys(params.g)
+    power = {(0, 0): 1}
+    out = []
+    for k in range(min(d, params.g) + 1):
+        if k:
+            power = _raw_mul_terms(power, sigma_keys)
+        out.append(Fraction(_top(params, {(d - k, s): c for (_, s), c in power.items()})))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -190,13 +190,28 @@ def test_symplectic_volume_homogeneous():
             5 ** d * symplectic_volume(base, d, g)
 
 
-def test_symplectic_volume_beyond_oracle_reach():
+def _closed_form_volume(cls: KahlerClass2, d: int, g: int):
     # Macdonald: int eta^(d-k) sigma^k = g!/(g-k)!, so the volume has a closed form
+    return sum(comb(d, k) * Fraction(factorial(g), factorial(g - k))
+               * cls.c_eta ** (d - k) * cls.c_sigma ** k
+               for k in range(min(d, g) + 1)) / factorial(d)
+
+
+def test_symplectic_volume_beyond_oracle_reach():
     d, g = 14, 8
     cls = KahlerClass2(Fraction(3, 2), Fraction(-5, 7))
-    want = sum(comb(d, k) * Fraction(factorial(g), factorial(g - k))
-               * cls.c_eta ** (d - k) * cls.c_sigma ** k for k in range(g + 1))
-    assert symplectic_volume(cls, d, g) == want / factorial(d)
+    assert symplectic_volume(cls, d, g) == _closed_form_volume(cls, d, g)
+
+
+def test_symplectic_volume_matches_closed_form_on_grid():
+    exact = KahlerClass2(Fraction(7, 3), Fraction(-5, 4))
+    floats = KahlerClass2(2.75, 0.625)
+    for d in range(1, 14):
+        for g in range(0, 9):
+            assert symplectic_volume(exact, d, g) == _closed_form_volume(exact, d, g), (d, g)
+            vol = symplectic_volume(floats, d, g)
+            assert type(vol) is float
+            assert vol == pytest.approx(_closed_form_volume(floats, d, g), rel=1e-12), (d, g)
 
 
 def test_symplectic_volume_float_path():

@@ -13,6 +13,7 @@ from vortexmoduli.symring import (
     _mul_keys,
     _normalize_terms,
     _raw_mul_terms,
+    _top,
     eta,
     format_class,
     integrate,
@@ -71,11 +72,11 @@ def test_xi_rejects_index_out_of_range(params, j):
 def test_power_stops_once_zero(monkeypatch):
     calls = []
 
-    def counting(a, b):
+    def counting(params, t1, t2):
         calls.append(None)
-        return multiply(a, b)
+        return _mul_keys(params, t1, t2)
 
-    monkeypatch.setattr(symring, "multiply", counting)
+    monkeypatch.setattr(symring, "_mul_keys", counting)
     p = RingParams(2, 1)
     assert (eta(p) ** 50).is_zero()
     assert len(calls) <= p.d + 2
@@ -650,3 +651,60 @@ def test_huge_power_of_nilpotent_factor_is_zero_at_once(monkeypatch, text):
 
     monkeypatch.setattr(symring, "_mul_keys", counting)
     assert parse_class(text, p).is_zero()
+
+
+# -- integrals read off raw products ----------------------------------------
+
+
+def _random_normal_class(rng: random.Random, params: RingParams) -> CohomologyClass:
+    """Normal form of 1-4 random monomials of any degree and parity."""
+    bits = range(1, 2 * params.g + 1)
+    keys = {}
+    for _ in range(rng.randint(1, 4)):
+        mask = sum(1 << b for b in rng.sample(bits, rng.randint(0, len(bits))))
+        keys[(rng.randint(0, params.d), mask)] = rng.randint(-9, 9)
+    return CohomologyClass(params, _normalize_terms(params, keys))
+
+
+def test_top_functional_matches_integral_of_normal_form():
+    # raw products of two or three random classes hold odd, inhomogeneous
+    # and above-2d monomials; the relations form an ideal, so the eta^d
+    # coefficient of the normal form is a functional on the raw product
+    rng = random.Random(1962)
+    nonzero = 0
+    for d in range(1, 9):
+        for g in range(0, 6):
+            p = RingParams(d, g)
+            for _ in range(12):
+                raw = _random_normal_class(rng, p).keys
+                for _ in range(rng.randint(1, 2)):
+                    raw = _raw_mul_terms(raw, _random_normal_class(rng, p).keys)
+                want = integrate(CohomologyClass(p, _normalize_terms(p, raw)))
+                assert _top(p, raw) == want, (p, raw)
+                nonzero += want != 0
+    assert nonzero >= 80
+
+
+def _random_degree2_class(rng: random.Random, params: RingParams) -> CohomologyClass:
+    """A seeded rational combination of eta and the products xi_i * xi_j."""
+    g = params.g
+    cls = eta(params).scale(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    for _ in range(rng.randint(0, 4) if g else 0):
+        if rng.random() < 0.5:
+            term = sigma_j(params, rng.randint(1, g))
+        else:
+            i, j = rng.sample(range(1, 2 * g + 1), 2)
+            term = multiply(xi(params, i), xi(params, j))
+        cls = cls + term.scale(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    return cls
+
+
+def test_pairing_sigma0_matches_product_with_poincare_dual():
+    rng = random.Random(1999)
+    for d in range(2, 9):
+        for g in range(0, 6):
+            p = RingParams(d, g)
+            pd = pd_sigma0(p)
+            for _ in range(6):
+                c = _random_degree2_class(rng, p)
+                assert pairing(c, 0) == integrate(multiply(c, pd)), (p, c)
