@@ -35,8 +35,11 @@ eta^(h+|P|-|Q|) xi_F sigma_Q; it vanishes when k < 0.  Each monomial is
 expanded directly, as a key (h, mask) with bit i of the mask standing for
 xi_i and an integer coefficient over one common denominator.  A class stores
 that reduced key map, and ``terms`` is the ``(h, xi_indices) -> Fraction``
-view, built when read.  Products, powers and parsing carry key maps from
-factor to factor, normalized after each, and build one class per result.
+view, built when read.  Products and powers carry key maps from factor to
+factor, normalized after each, and build one class per result.  Parsing
+multiplies each term's factors raw, sums the terms and normalizes once: the
+relations form an ideal, so the normal form of a sum of raw products is the
+sum of their normal forms.
 A raw product xi_s * xi_t swaps each a in s past each b in t with a > b.
 Bit a of K_t, the XOR of -b over the bits b of t, is the parity of the
 b <= a, so the sign is (-1)^|s & K_t|: one mask per right-hand key.
@@ -60,6 +63,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd, lcm
 from typing import Mapping
 
@@ -399,7 +403,10 @@ def eta_sigma_integrals(params: RingParams) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # canonical text form: "c*eta^a*xi[i,j,...] + ..."
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_FRACTION_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+_EXPONENT_RE = re.compile(r"^\d+$")
+_XI_RE = re.compile(r"^xi\[([0-9,\s]+)\]$")
+_SIGMA_J_RE = re.compile(r"^sigma\[(\d+)\]$")
 
 
 def _format_monomial(h: int, xs: tuple[int, ...]) -> str:
@@ -430,13 +437,14 @@ def format_class(a: CohomologyClass) -> str:
 
 
 def _parse_factor(tok: str, params: RingParams) -> dict:
-    """Key map of one factor.  A power is normalized after each step; a
-    factor without an exponent is normalized by the product that takes it in."""
+    """Unreduced key map of one factor: the indices of ``xi[...]`` are
+    multiplied raw, and only an explicit power is normalized, after each
+    step, so that a nilpotent power stops at its first zero."""
     tok = tok.strip()
     base, caret, exp = tok.partition("^")
     power = 1
     if caret:
-        if not re.match(r"^\d+$", exp):
+        if not _EXPONENT_RE.match(exp):
             raise ValueError("bad exponent in %r" % tok)
         power = int(exp)
     base = base.strip()
@@ -444,12 +452,10 @@ def _parse_factor(tok: str, params: RingParams) -> dict:
         keys = {(1, 0): 1}
     elif base == "sigma":
         keys = _sigma_keys(params.g)
-    elif m := re.match(r"^xi\[([0-9,\s]+)\]$", base):
-        keys = {(0, 0): 1}
-        for idx in m.group(1).split(","):
-            xi_keys = {(0, 1 << _index("xi index", int(idx), 2 * params.g)): 1}
-            keys = _mul_keys(params, keys, xi_keys)
-    elif m := re.match(r"^sigma\[(\d+)\]$", base):
+    elif m := _XI_RE.match(base):
+        keys = reduce(_raw_mul_terms, ({(0, 1 << _index("xi index", int(idx), 2 * params.g)): 1}
+                                       for idx in m.group(1).split(",")))
+    elif m := _SIGMA_J_RE.match(base):
         j = _index("sigma index", int(m.group(1)), params.g)
         keys = {(0, 1 << j | 1 << (j + params.g)): 1}
     else:
@@ -458,7 +464,10 @@ def _parse_factor(tok: str, params: RingParams) -> dict:
 
 
 def parse_class(text: str, params: RingParams) -> CohomologyClass:
-    """Parse the canonical text form (also accepts sigma / sigma[j] factors)."""
+    """Parse the canonical text form (also accepts sigma / sigma[j] factors).
+    Each term's factors are multiplied raw and its coefficient kept as two
+    integers; the terms are summed over the lcm of their denominators and
+    normalized once, which the ideal of relations allows."""
     text = text.strip()
     if not text:
         raise ValueError("empty class expression")
@@ -470,15 +479,20 @@ def parse_class(text: str, params: RingParams) -> CohomologyClass:
     terms = re.findall(r"[+-]?[^+-]+", compact)
     if "".join(terms) != compact:
         raise ValueError("dangling sign in %r" % text)
-    total = zero(params)
+    parsed = []
     for term in terms:
-        coeff = Fraction(-1 if term[0] == "-" else 1)
-        keys = {(0, 0): 1}
+        num, den, factors = -1 if term[0] == "-" else 1, 1, []
         for tok in term.lstrip("+-").split("*"):
-            if _FRACTION_RE.match(tok):
-                coeff *= Fraction(tok)
+            if m := _FRACTION_RE.match(tok):
+                num, den = num * int(m[1]), den * int(m[2] or 1)
+                if not den:  # as Fraction(tok) words it
+                    raise ZeroDivisionError("Fraction(%d, 0)" % int(m[1]))
             else:
-                keys = _mul_keys(params, keys, _parse_factor(tok, params))
-        total = total + CohomologyClass(
-            params, {key: coeff.numerator * c for key, c in keys.items()}, coeff.denominator)
-    return total
+                factors.append(_parse_factor(tok, params))
+        parsed.append((num, den, reduce(_raw_mul_terms, factors) if factors else {(0, 0): 1}))
+    den = lcm(*(q for _, q, _ in parsed))
+    total: dict[tuple[int, int], int] = {}
+    for num, q, keys in parsed:
+        for key, c in keys.items():
+            total[key] = total.get(key, 0) + num * (den // q) * c
+    return CohomologyClass(params, _normalize_terms(params, total), den)

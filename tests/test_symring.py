@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -538,6 +539,71 @@ def test_serialization_round_trip():
         parse_class("eta^-1", p)
     with pytest.raises(ValueError):
         parse_class("blah", p)
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("eta^", ValueError, "bad exponent in 'eta^'"),
+    ("eta^²", ValueError, "bad exponent in 'eta^²'"),
+    ("2*", ValueError, "cannot parse factor ''"),
+    ("1/2/3*eta", ValueError, "cannot parse factor '1/2/3'"),
+    ("xi[]", ValueError, "cannot parse factor 'xi[]'"),
+    ("eta*\t3", ValueError, "cannot parse factor '3'"),
+    ("sigma[0]", ValueError, "sigma index 0 out of range 1..2"),
+    ("xi[5]", ValueError, "xi index 5 out of range 1..4"),
+    ("xi[1,1,5]", ValueError, "xi index 5 out of range 1..4"),
+    ("1/0*xi[5]", ZeroDivisionError, "Fraction(1, 0)"),
+    ("xi[5]*1/0", ValueError, "xi index 5 out of range 1..4"),
+    ("+ -eta", ValueError, "dangling sign in '+ -eta'"),
+    ("1/0*eta", ZeroDivisionError, "Fraction(1, 0)"),
+    ("eta + 007/0*eta", ZeroDivisionError, "Fraction(7, 0)"),
+])
+def test_parse_class_refuses_with_message(text, error, message):
+    # the first bad token, read left to right, names the failure
+    with pytest.raises(error) as exc:
+        parse_class(text, RingParams(2, 2))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+_P22 = RingParams(2, 2)
+
+
+@pytest.mark.parametrize("text,want", [
+    ("eta\t*sigma", multiply(eta(_P22), sigma(_P22))),
+    ("eta^0", unit(_P22)),
+    ("0*eta", zero(_P22)),
+    ("-0", zero(_P22)),
+    ("xi[1,1]", zero(_P22)),
+    ("xi[3,1]", multiply(xi(_P22, 3), xi(_P22, 1))),
+    ("3", unit(_P22).scale(3)),
+    ("3\n*eta", eta(_P22).scale(3)),
+    ("1/2*eta - 2/4*eta + 0/5", zero(_P22)),
+])
+def test_parse_class_accepts_edge_cases(text, want):
+    got = parse_class(text, _P22)
+    assert (got.keys, got.den) == (want.keys, want.den)
+
+
+@pytest.mark.parametrize("params,text", [
+    (RingParams(3, 2), "1/2*eta*xi[1,3] - 3/4*sigma*sigma[2]"),
+    (RingParams(5, 4), "1/2*sigma^3*xi[4] - 2/3*eta*xi[1,5,2,6,8]"),
+    (RingParams(2, 2), "eta^2*xi[1]^2 + 5*sigma^1 - xi[2,4]^0*eta"),
+    (RingParams(7, 6), "-3/4*sigma^4*xi[1] + 2/9*eta^3*sigma*xi[1,7,8]"),
+])
+def test_parse_class_normalizes_once(monkeypatch, params, text):
+    # the relations form an ideal, so a parse multiplies its factors raw and
+    # reduces the summed terms once; only the steps of an explicit power
+    # are normalized, each once
+    calls = []
+
+    def counting(p, terms):
+        calls.append(None)
+        return _normalize_terms(p, terms)
+
+    monkeypatch.setattr(symring, "_normalize_terms", counting)
+    parse_class(text, params)
+    steps = sum(int(k) for k in re.findall(r"\^(\d+)", text))
+    # a power-free parse makes exactly one call
+    assert 1 <= len(calls) <= steps + 1
 
 
 # -- key-map products against the class-by-class route ----------------------
