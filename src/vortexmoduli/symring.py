@@ -39,7 +39,9 @@ view, built when read.  Products and powers carry key maps from factor to
 factor, normalized after each, and build one class per result.  Parsing
 multiplies each term's factors raw, sums the terms and normalizes once: the
 relations form an ideal, so the normal form of a sum of raw products is the
-sum of their normal forms.
+sum of their normal forms.  After each factor it drops the raw monomials
+above degree 2d, which lie in the ideal, so a written-out nilpotent product
+stays as small as the ring's own degrees.
 A raw product xi_s * xi_t swaps each a in s past each b in t with a > b.
 Bit a of K_t, the XOR of -b over the bits b of t, is the parity of the
 b <= a, so the sign is (-1)^|s & K_t|: one mask per right-hand key.
@@ -465,9 +467,10 @@ def _parse_factor(tok: str, params: RingParams) -> dict:
 
 def parse_class(text: str, params: RingParams) -> CohomologyClass:
     """Parse the canonical text form (also accepts sigma / sigma[j] factors).
-    Each term's factors are multiplied raw and its coefficient kept as two
-    integers; the terms are summed over the lcm of their denominators and
-    normalized once, which the ideal of relations allows."""
+    Each term's factors are multiplied raw, without the monomials above
+    degree 2d, and its coefficient kept as two integers; the terms are summed
+    over the lcm of their denominators and normalized once, which the ideal
+    of relations allows."""
     text = text.strip()
     if not text:
         raise ValueError("empty class expression")
@@ -479,17 +482,19 @@ def parse_class(text: str, params: RingParams) -> CohomologyClass:
     terms = re.findall(r"[+-]?[^+-]+", compact)
     if "".join(terms) != compact:
         raise ValueError("dangling sign in %r" % text)
-    parsed = []
+    parsed, top = [], 2 * params.d
     for term in terms:
-        num, den, factors = -1 if term[0] == "-" else 1, 1, []
+        num, den, keys = -1 if term[0] == "-" else 1, 1, {(0, 0): 1}
         for tok in term.lstrip("+-").split("*"):
             if m := _FRACTION_RE.match(tok):
                 num, den = num * int(m[1]), den * int(m[2] or 1)
                 if not den:  # as Fraction(tok) words it
                     raise ZeroDivisionError("Fraction(%d, 0)" % int(m[1]))
             else:
-                factors.append(_parse_factor(tok, params))
-        parsed.append((num, den, reduce(_raw_mul_terms, factors) if factors else {(0, 0): 1}))
+                # monomials above degree 2d lie in the ideal
+                keys = {k: c for k, c in _raw_mul_terms(keys, _parse_factor(tok, params)).items()
+                        if 2 * k[0] + k[1].bit_count() <= top}
+        parsed.append((num, den, keys))
     den = lcm(*(q for _, q, _ in parsed))
     total: dict[tuple[int, int], int] = {}
     for num, q, keys in parsed:

@@ -606,6 +606,24 @@ def test_parse_class_normalizes_once(monkeypatch, params, text):
     assert 1 <= len(calls) <= steps + 1
 
 
+def test_written_out_nilpotent_product_stays_within_ring_degrees(monkeypatch):
+    # at d = 1, sigma * sigma lies above the top degree 2, so sixteen written
+    # factors are zero; a parse that kept raw monomials above degree 2d would
+    # build C(32, k) keys at the k-th factor instead
+    p = RingParams(1, 32)
+    sizes = []
+
+    def counting(t1, t2):
+        out = _raw_mul_terms(t1, t2)
+        sizes.append(len(out))
+        assert len(out) <= comb(32, 2), "raw map grew past the ring's degrees"
+        return out
+
+    monkeypatch.setattr(symring, "_raw_mul_terms", counting)
+    assert parse_class("*".join(["sigma"] * 16), p).is_zero()
+    assert len(sizes) == 16
+
+
 # -- key-map products against the class-by-class route ----------------------
 
 
